@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json fuzz fuzz-smoke bench bench-obs bench-obs-smoke bench-serve bench-serve-smoke bench-wire bench-wire-smoke bench-segment bench-segment-smoke chaos-smoke verify
+.PHONY: build test race vet lint lint-json fuzz fuzz-smoke bench bench-smoke bench-check chaos-smoke verify
 
 build:
 	$(GO) build ./...
@@ -55,57 +55,22 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSegmentDecode -fuzztime=2s -fuzzminimizetime=1x ./internal/segment/
 	$(GO) test -run=NONE -fuzz=FuzzSketchMerge -fuzztime=2s -fuzzminimizetime=1x ./internal/sketch/
 
-# Full benchmark suite with allocation stats, including the store
-# fan-out/merge and the serve cached-vs-cold comparison.
+# Full Go benchmark suite with allocation stats, including the store
+# fan-out/merge and the serve cached-vs-cold comparison. For measuring
+# while you work; the repository's benchmark is ./bench, below.
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
 
-# Observability overhead: the full spine (campaign → feed → seal) bare
-# vs instrumented. Reference numbers live in BENCH_obs.json; the
-# instrumented run must stay within ~5% of the bare one.
-bench-obs:
-	$(GO) test -run=NONE -bench=BenchmarkObsOverhead -benchtime=5x -count=3 ./internal/obs/
+# One short pass over every workload of the repository benchmark
+# (BENCHMARK.json): proves each runs end to end and passes its
+# validity checks, without statistically meaningful timing.
+bench-smoke:
+	$(GO) run ./bench -smoke
 
-# CI smoke slice: one iteration per case, just proving the instrumented
-# spine runs end to end.
-bench-obs-smoke:
-	$(GO) test -run=NONE -bench=BenchmarkObsOverhead -benchtime=1x ./internal/obs/
-
-# Serving-path latency under load: the loadgen harness sweeps
-# concurrency levels against an in-process server, hedging off vs on,
-# over a cache-busting endpoint mix. Reference numbers (p99 vs
-# concurrency) live in BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/cloudy loadgen -scale 0.05 -cycles 2 -clients 8,64,256 -requests 200 -out BENCH_serve.json
-
-# CI smoke slice: one small cell per hedge mode, just proving the
-# harness drives the admission/hedging/swap stack end to end.
-bench-serve-smoke:
-	$(GO) run ./cmd/cloudy loadgen -scale 0.02 -cycles 1 -clients 8 -requests 25
-
-# Wire codec vs NDJSON on real campaign records; the acceptance floor
-# is a 2x encode+decode speedup. Reference numbers live in
-# BENCH_wire.json.
-bench-wire:
-	$(GO) run ./cmd/cloudy benchwire -scale 0.02 -cycles 1 -iters 5 -out BENCH_wire.json
-
-# CI smoke slice: one pass per codec, no report file.
-bench-wire-smoke:
-	$(GO) run ./cmd/cloudy benchwire -scale 0.02 -cycles 1 -iters 1
-
-# Columnar segment format vs the in-memory streaming build it
-# complements: build/write/mmap-open timing, per-endpoint query latency
-# exact vs sketch, the 100x single-group sketch probe (must stay
-# sub-ms) and sketch-vs-exact error quantiles. Reference numbers live
-# in BENCH_segment.json; the streaming-build baseline lives in
-# BENCH_streaming.json.
-bench-segment:
-	$(GO) run ./cmd/cloudy benchsegment -rows 200000 -iters 9 -out BENCH_segment.json
-
-# CI smoke slice: small row count, two reps per cell, no report file —
-# just proving write → mmap → every endpoint answers in both modes.
-bench-segment-smoke:
-	$(GO) run ./cmd/cloudy benchsegment -rows 20000 -iters 2
+# Two interleaved sets of three full runs compared metric by metric;
+# writes bench/out/check.json. The non-regression proof for a PR.
+bench-check:
+	$(GO) run ./bench -check 3
 
 # Worker-kill chaos test under the race detector: one worker of three
 # dies mid-stream, its shard must be reassigned and the merged store

@@ -10,23 +10,16 @@
 //	                                             run the study; write the dataset
 //	cloudy serve  [-seed N] [-scale F] [-addr A] run or load a campaign, build the
 //	                                             sharded store, serve the /v1 query API
-//	                                             (admission control, hedged fan-out and
-//	                                             -reseal live store swaps built in);
+//	                                             (admission control and -reseal live
+//	                                             store swaps built in);
 //	                                             -segments DIR serves sealed columnar
 //	                                             files from mmap instead
 //	cloudy segment -out DIR                      run or load a campaign and write the
 //	                                             sealed store as columnar segment files
 //	                                             with merged quantile sketches
-//	cloudy benchsegment [-out F]                 benchmark segment build/open/query
-//	                                             against the in-memory streaming build
-//	cloudy loadgen [-seed N] [-clients LIST]     drive a concurrency sweep against the
-//	                                             query API (in-process or -base URL) and
-//	                                             write BENCH_serve.json
 //	cloudy coordinator [-seed N] [-addr A]       lease campaign shards to a worker fleet
 //	                                             and merge the returned binary streams
 //	cloudy worker [-addr A] [-name ID]           serve campaign shards for a coordinator
-//	cloudy benchwire [-out F]                    benchmark the binary wire codec against
-//	                                             the NDJSON text formats
 //
 // Figure IDs accepted by -figure: table1, fig3, fig4, fig5, fig6,
 // fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig15, fig16, fig17,
@@ -37,12 +30,10 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"time"
 
 	"repro/internal/admit"
@@ -85,16 +76,10 @@ func main() {
 		err = cmdServe(ctx, os.Args[2:])
 	case "segment":
 		err = cmdSegment(ctx, os.Args[2:])
-	case "benchsegment":
-		err = cmdBenchSegment(ctx, os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(ctx, os.Args[2:])
 	case "coordinator":
 		err = cmdCoordinator(ctx, os.Args[2:])
 	case "worker":
 		err = cmdWorker(ctx, os.Args[2:])
-	case "benchwire":
-		err = cmdBenchwire(ctx, os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -115,17 +100,13 @@ func usage() {
   cloudy export  [-seed N] [-scale F] [-format csv|atlas] -pings FILE -traces FILE
   cloudy analyze [-seed N] -pings FILE -traces FILE
   cloudy serve   [-seed N] [-scale F] [-addr HOST:PORT] [-shards N] [-pings FILE -traces FILE]
-                 [-segments DIR [-exact]] [-hedge] [-hedge-inflight-limit N|auto]
+                 [-segments DIR [-exact]]
                  [-quota-rate R] [-quota-burst B] [-max-inflight N] [-reseal DUR]
   cloudy segment [-seed N] [-scale F] [-cycles N] [-shards N] [-pings FILE -traces FILE]
                  -out DIR [-check]
-  cloudy benchsegment [-seed N] [-rows N] [-shards N] [-partitions N] [-iters N] [-out FILE]
-  cloudy loadgen [-seed N] [-scale F] [-clients LIST] [-requests N] [-hedge on|off|both]
-                 [-base URL] [-out FILE]
   cloudy coordinator [-seed N] [-scale F] [-addr HOST:PORT] [-cluster-shards N]
                  [-cycle-windows N] [-lease-ttl DUR] [-shards N]
-  cloudy worker  [-addr HOST:PORT] [-name ID]
-  cloudy benchwire [-seed N] [-scale F] [-cycles N] [-iters N] [-out FILE]`)
+  cloudy worker  [-addr HOST:PORT] [-name ID]`)
 }
 
 func cmdWorld(args []string) error {
@@ -410,8 +391,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	cacheEntries := fs.Int("cache", 256, "response cache entries")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	hedgeFlag := fs.Bool("hedge", false, "hedge straggler shards in the query fan-out")
-	hedgeLimit := fs.String("hedge-inflight-limit", "", `hedging in-flight ceiling: "" = half the admission ceiling, "auto" = the hedge_crossover_clients calibrated into BENCH_serve.json by loadgen, or an explicit integer`)
 	quotaRate := fs.Float64("quota-rate", 0, "per-client quota, requests/s (0 = default 100, negative disables)")
 	quotaBurst := fs.Float64("quota-burst", 0, "per-client burst capacity (0 = 2x rate)")
 	maxInflight := fs.Int("max-inflight", 0, "global concurrency ceiling, shed 503 past it (0 = default 1024, negative disables)")
@@ -439,11 +418,11 @@ func cmdServe(ctx context.Context, args []string) error {
 	ctx = obs.ContextWithTracer(ctx, tracer)
 
 	// Segment mode: the store was sealed and written earlier; mmap the
-	// columnar files and answer from page cache. Hedging and re-sealing
-	// are live-store concepts and do not apply.
+	// columnar files and answer from page cache. Re-sealing is a
+	// live-store concept and does not apply.
 	if *segmentsDir != "" {
-		if *pingsPath != "" || *reseal > 0 || *hedgeFlag {
-			return fmt.Errorf("-segments serves sealed files and cannot be combined with -pings/-traces, -reseal or -hedge")
+		if *pingsPath != "" || *reseal > 0 {
+			return fmt.Errorf("-segments serves sealed files and cannot be combined with -pings/-traces or -reseal")
 		}
 		rd, err := segment.Open(*segmentsDir, segment.Options{Exact: *exactFlag, Obs: reg})
 		if err != nil {
@@ -492,37 +471,11 @@ func cmdServe(ctx context.Context, args []string) error {
 			return err
 		}
 	}
-	// Hedging is gated on the server's live admission gauge: past the
-	// ceiling, firing a second shard probe per straggler would amplify
-	// exactly the load that is causing the straggling. The server
-	// doesn't exist yet, so the gauge is late-bound; srv is assigned
-	// before the listener accepts its first request.
-	var srv *serve.Server
-	hedgeOpts := store.HedgeOptions{Enabled: true}
-	if eff := *maxInflight; eff >= 0 {
-		if eff == 0 {
-			eff = admit.DefaultMaxInFlight
-		}
-		hedgeOpts.InFlight = func() int64 {
-			if srv == nil {
-				return 0
-			}
-			return srv.InFlight()
-		}
-		limit, err := resolveHedgeLimit(*hedgeLimit, eff)
-		if err != nil {
-			return err
-		}
-		hedgeOpts.InFlightLimit = limit
-	}
-	if *hedgeFlag {
-		st = st.WithHedge(hedgeOpts)
-	}
 	sum := st.Summary()
 	fmt.Fprintf(os.Stderr, "store sealed: %d rows in %d shards (%d countries, %d providers; shard balance %d..%d rows)\n",
 		sum.Rows, sum.Shards, sum.Countries, sum.Providers, sum.MinShardRows, sum.MaxShardRows)
 
-	srv = serve.New(st, serve.Options{
+	srv := serve.New(st, serve.Options{
 		CacheEntries: *cacheEntries, Timeout: *timeout,
 		Obs: reg, Tracer: tracer, EnablePprof: *pprofFlag, StoreMode: "memory",
 		Admit: admit.Options{
@@ -530,45 +483,10 @@ func cmdServe(ctx context.Context, args []string) error {
 		},
 	})
 	if *reseal > 0 {
-		go resealLoop(ctx, srv, f, reg, *shards, *hedgeFlag, hedgeOpts, *reseal)
+		go resealLoop(ctx, srv, f, reg, *shards, *reseal)
 	}
 	fmt.Fprintf(os.Stderr, "serving http://%s/v1/{latency-map,cdf,platform-diff,peering-shares,healthz,readyz,statsz,metricsz,tracez} (ctrl-c drains)\n", *addr)
 	return srv.ListenAndServe(ctx, *addr)
-}
-
-// resolveHedgeLimit turns the -hedge-inflight-limit flag into the
-// concrete in-flight ceiling above which hedging stands down. The empty
-// spec keeps the historical heuristic (half the admission ceiling);
-// "auto" seeds the ceiling from the hedge_crossover_clients that a
-// `cloudy loadgen` sweep calibrated into BENCH_serve.json — the
-// concurrency where hedging's p99 win inverts — and an explicit
-// integer is taken as-is.
-func resolveHedgeLimit(spec string, admissionCeiling int) (int64, error) {
-	switch spec {
-	case "":
-		return int64(admissionCeiling) / 2, nil
-	case "auto":
-		data, err := os.ReadFile("BENCH_serve.json")
-		if err != nil {
-			return 0, fmt.Errorf("-hedge-inflight-limit auto: %w (run `cloudy loadgen -hedge both -out BENCH_serve.json` first)", err)
-		}
-		var rep struct {
-			HedgeCrossoverClients *int `json:"hedge_crossover_clients"`
-		}
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return 0, fmt.Errorf("-hedge-inflight-limit auto: parsing BENCH_serve.json: %w", err)
-		}
-		if rep.HedgeCrossoverClients == nil {
-			return 0, fmt.Errorf("-hedge-inflight-limit auto: BENCH_serve.json carries no hedge_crossover_clients (the sweep found no crossover); pass an explicit limit")
-		}
-		return int64(*rep.HedgeCrossoverClients), nil
-	default:
-		n, err := strconv.ParseInt(spec, 10, 64)
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf(`-hedge-inflight-limit: want "", "auto" or a non-negative integer, got %q`, spec)
-		}
-		return n, nil
-	}
 }
 
 // campaignStore runs the campaigns into a fresh store.Feed and seals
@@ -614,7 +532,7 @@ func campaignStore(ctx context.Context, cfg core.Config, reg *obs.Registry, shar
 // keeps serving throughout — and atomically swaps the fresh seal in.
 // Cache keys, singleflight keys and ETags all carry the store epoch,
 // so the swap drops zero requests and can never confirm a stale 304.
-func resealLoop(ctx context.Context, srv *serve.Server, f studyFlags, reg *obs.Registry, shards int, hedge bool, hedgeOpts store.HedgeOptions, interval time.Duration) {
+func resealLoop(ctx context.Context, srv *serve.Server, f studyFlags, reg *obs.Registry, shards int, interval time.Duration) {
 	for n := int64(1); ; n++ {
 		select {
 		case <-ctx.Done():
@@ -631,9 +549,6 @@ func resealLoop(ctx context.Context, srv *serve.Server, f studyFlags, reg *obs.R
 			}
 			fmt.Fprintf(os.Stderr, "reseal: %v\n", err)
 			continue
-		}
-		if hedge {
-			st = st.WithHedge(hedgeOpts)
 		}
 		epoch := srv.Swap(st)
 		fmt.Fprintf(os.Stderr, "resealed: epoch %d mounted (seed %d, %d rows)\n",

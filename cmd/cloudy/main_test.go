@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/segment"
 )
 
 // captureStdout redirects os.Stdout for the duration of fn.
@@ -79,6 +81,23 @@ func TestExportAnalyzeRoundTrip(t *testing.T) {
 			t.Errorf("analyze output missing %q", want)
 		}
 	}
+
+	// The same export sealed into segment files, validated, and mounted.
+	segDir := filepath.Join(dir, "seg")
+	err = cmdSegment(context.Background(), []string{
+		"-seed", "3", "-pings", pings, "-traces", traces, "-out", segDir, "-check",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := segment.Open(segDir, segment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	if len(rd.LatencyMap(1)) == 0 {
+		t.Error("mounted segments answer an empty latency map")
+	}
 }
 
 func TestExportValidation(t *testing.T) {
@@ -111,5 +130,20 @@ func TestServeValidation(t *testing.T) {
 	if err := cmdServe(context.Background(), []string{
 		"-pings", "/nope/a.csv", "-traces", "/nope/b.jsonl"}); err == nil {
 		t.Error("serve with missing export files should fail")
+	}
+	// Flag conflicts must be refused up front — the error names the
+	// conflict, not a campaign or a mount that was attempted first.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exact"}, "-exact only applies to -segments"},
+		{[]string{"-segments", "/nope/seg", "-reseal", "1s"}, "cannot be combined"},
+		{[]string{"-segments", "/nope/seg", "-pings", "a.csv", "-traces", "b.jsonl"}, "cannot be combined"},
+	} {
+		err := cmdServe(context.Background(), tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("serve %v = %v, want an error containing %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -2,16 +2,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/segment"
@@ -108,337 +104,4 @@ func segmentFiles(dir string, shards int) []string {
 		names = append(names, filepath.Join(dir, segment.ShardFile(i)))
 	}
 	return names
-}
-
-// ---- benchsegment ----
-
-// segQueryBench is one endpoint × mode latency cell.
-type segQueryBench struct {
-	Endpoint string  `json:"endpoint"`
-	Mode     string  `json:"mode"` // "exact" or "sketch"
-	P50Us    float64 `json:"p50_us"`
-	P99Us    float64 `json:"p99_us"`
-}
-
-// segErrorQuantiles summarizes sketch-vs-exact divergence over one
-// family of figures.
-type segErrorQuantiles struct {
-	Figure string  `json:"figure"`
-	Kind   string  `json:"kind"` // "relative" or "absolute"
-	N      int     `json:"n"`
-	P50    float64 `json:"p50"`
-	P95    float64 `json:"p95"`
-	Max    float64 `json:"max"`
-}
-
-// segmentBenchReport is the BENCH_segment.json document.
-type segmentBenchReport struct {
-	Seed       int64 `json:"seed"`
-	Rows       int   `json:"rows"`
-	Shards     int   `json:"shards"`
-	Partitions int   `json:"partitions"`
-	Cycles     int   `json:"cycles"`
-	Iters      int   `json:"iters"`
-	// BuildNs is the in-memory streaming build (store.Builder feed +
-	// seal) — what `cloudy serve` must do before the first query when no
-	// segments exist. WriteNs/OpenNs are the segment write and the mmap
-	// mount of the same data; BuildToOpenRatio = BuildNs/OpenNs is the
-	// availability-to-first-query speedup segments buy.
-	BuildNs          int64           `json:"build_ns"`
-	WriteNs          int64           `json:"write_ns"`
-	OpenNs           int64           `json:"open_ns"`
-	Bytes            int64           `json:"bytes"`
-	BuildToOpenRatio float64         `json:"build_to_open_ratio"`
-	Queries          []segQueryBench `json:"queries"`
-	// GroupRows is the sample count of the single-group probe store
-	// (100x the base per-group count); GroupP99Us must stay sub-ms —
-	// sketch size is bounded by the compression, not the sample count.
-	GroupRows  uint64              `json:"group_rows"`
-	GroupP50Us float64             `json:"group_p50_us"`
-	GroupP99Us float64             `json:"group_p99_us"`
-	Errors     []segErrorQuantiles `json:"errors"`
-}
-
-// synthStore seals a synthetic sharded store: rows samples spread over
-// countries × providers × cycles on both platforms, deterministic in
-// seed. boostCountry (if set) gets 100x its share — the single-group
-// probe fixture.
-func synthStore(seed int64, shards, partitions, cycles, rows int, boostCountry string) *store.Store {
-	countries := []struct {
-		code string
-		base float64
-	}{
-		{"DE", 18}, {"GB", 24}, {"US", 35}, {"BR", 62}, {"JP", 41}, {"ZA", 88},
-	}
-	providers := []string{"AMZN", "GCP", "MSFT"}
-	cells := len(countries) * len(providers) * cycles * 2
-	perCell := rows / cells
-	if perCell < 1 {
-		perCell = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	b := store.NewBuilder(store.Options{Shards: shards, Partitions: partitions, Cycles: cycles})
-	for _, c := range countries {
-		meta, _ := geo.CountryByCode(c.code)
-		n := perCell
-		if c.code == boostCountry {
-			n = perCell * 100
-		}
-		for _, platform := range []string{"speedchecker", "atlas"} {
-			offset := 0.0
-			if platform == "atlas" {
-				offset = -2.5
-			}
-			for _, prov := range providers {
-				for cyc := 0; cyc < cycles; cyc++ {
-					for k := 0; k < n; k++ {
-						b.Add(store.Sample{
-							Platform: platform, Country: c.code, Continent: meta.Continent,
-							Provider: prov,
-							RTTms:    c.base + offset + 30*rng.Float64(),
-							Cycle:    cyc,
-						})
-					}
-				}
-			}
-		}
-	}
-	for cyc := 0; cyc < cycles; cyc++ {
-		b.AddPeeringCountsAt(cyc, map[string]map[pipeline.Class]int{
-			"AMZN": {pipeline.ClassDirect: 5 + cyc, pipeline.ClassDirectIXP: 2},
-			"GCP":  {pipeline.ClassDirect: 3, pipeline.ClassDirectIXP: 4 + cyc%3},
-		})
-	}
-	return b.Seal()
-}
-
-func durQuantile(ds []time.Duration, q float64) float64 {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	idx := int(q * float64(len(ds)-1))
-	return float64(ds[idx]) / float64(time.Microsecond)
-}
-
-func floatQuantiles(xs []float64, figure, kind string) segErrorQuantiles {
-	sort.Float64s(xs)
-	at := func(q float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		return xs[int(q*float64(len(xs)-1))]
-	}
-	out := segErrorQuantiles{Figure: figure, Kind: kind, N: len(xs), P50: at(0.5), P95: at(0.95)}
-	if len(xs) > 0 {
-		out.Max = xs[len(xs)-1]
-	}
-	return out
-}
-
-// cmdBenchSegment benchmarks the segment subsystem against the
-// in-memory build it replaces: streaming build vs write+mmap-open of
-// the same rows, per-endpoint query latency in exact vs sketch mode, a
-// sub-ms single-group sketch probe at 100x sample count, and
-// sketch-vs-exact error quantiles. Writes BENCH_segment.json with -out.
-func cmdBenchSegment(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("benchsegment", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "synthesis seed")
-	rows := fs.Int("rows", 200000, "approximate total sample count")
-	shards := fs.Int("shards", 4, "store shard count")
-	partitions := fs.Int("partitions", 4, "cycle partitions per shard")
-	cycles := fs.Int("cycles", 8, "campaign cycles")
-	iters := fs.Int("iters", 20, "measurement repetitions per cell")
-	outPath := fs.String("out", "", "write the JSON benchmark report here (e.g. BENCH_segment.json)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	rep := segmentBenchReport{
-		Seed: *seed, Rows: *rows, Shards: *shards, Partitions: *partitions,
-		Cycles: *cycles, Iters: *iters,
-	}
-
-	// Build (streaming in-memory) timing: median of iters full builds.
-	var builds []time.Duration
-	var st *store.Store
-	for i := 0; i < *iters; i++ {
-		t0 := time.Now()
-		st = synthStore(*seed, *shards, *partitions, *cycles, *rows, "")
-		builds = append(builds, time.Since(t0))
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-	}
-	sort.Slice(builds, func(i, j int) bool { return builds[i] < builds[j] })
-	rep.BuildNs = int64(builds[len(builds)/2])
-
-	dir, err := os.MkdirTemp("", "cloudy-benchsegment-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	var writes, opens []time.Duration
-	for i := 0; i < *iters; i++ {
-		sub := filepath.Join(dir, fmt.Sprintf("w%d", i))
-		t0 := time.Now()
-		if err := segment.Write(sub, st); err != nil {
-			return err
-		}
-		writes = append(writes, time.Since(t0))
-		t0 = time.Now()
-		r, err := segment.Open(sub, segment.Options{})
-		if err != nil {
-			return err
-		}
-		opens = append(opens, time.Since(t0))
-		r.Close()
-		if i > 0 {
-			os.RemoveAll(sub)
-		}
-	}
-	sort.Slice(writes, func(i, j int) bool { return writes[i] < writes[j] })
-	sort.Slice(opens, func(i, j int) bool { return opens[i] < opens[j] })
-	rep.WriteNs = int64(writes[len(writes)/2])
-	rep.OpenNs = int64(opens[len(opens)/2])
-	if rep.OpenNs > 0 {
-		rep.BuildToOpenRatio = float64(rep.BuildNs) / float64(rep.OpenNs)
-	}
-	segDir := filepath.Join(dir, "w0")
-	sum := st.Summary()
-	for _, name := range segmentFiles(segDir, sum.Shards) {
-		fi, err := os.Stat(name)
-		if err != nil {
-			return err
-		}
-		rep.Bytes += fi.Size()
-	}
-
-	exact, err := segment.Open(segDir, segment.Options{Exact: true})
-	if err != nil {
-		return err
-	}
-	defer exact.Close()
-	approx, err := segment.Open(segDir, segment.Options{})
-	if err != nil {
-		return err
-	}
-	defer approx.Close()
-
-	// Per-endpoint latency, exact vs sketch. Each cell re-runs the full
-	// figure query; nothing is cached between reps.
-	type cell struct {
-		name string
-		run  func(r *segment.Reader)
-	}
-	cells := []cell{
-		{"latency-map", func(r *segment.Reader) { r.LatencyMap(5) }},
-		{"cdf", func(r *segment.Reader) { r.ContinentCDFs("speedchecker") }},
-		{"platform-diff", func(r *segment.Reader) { r.PlatformDiff() }},
-		{"peering-shares", func(r *segment.Reader) { r.PeeringShares() }},
-		{"changepoint", func(r *segment.Reader) { r.Changepoint("speedchecker", *cycles/2, 0) }},
-	}
-	for _, c := range cells {
-		for _, mode := range []struct {
-			name string
-			r    *segment.Reader
-		}{{"exact", exact}, {"sketch", approx}} {
-			var ds []time.Duration
-			for i := 0; i < *iters; i++ {
-				t0 := time.Now()
-				c.run(mode.r)
-				ds = append(ds, time.Since(t0))
-			}
-			rep.Queries = append(rep.Queries, segQueryBench{
-				Endpoint: c.name, Mode: mode.name,
-				P50Us: durQuantile(ds, 0.5), P99Us: durQuantile(ds, 0.99),
-			})
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-		}
-	}
-
-	// Single-group probe at 100x the base per-group sample count: the
-	// sketch answer must stay sub-ms because merged digests are bounded
-	// by the compression, not by how many samples fed them.
-	probe := synthStore(*seed+1, *shards, *partitions, *cycles, *rows/10, "DE")
-	probeDir := filepath.Join(dir, "probe")
-	if err := segment.Write(probeDir, probe); err != nil {
-		return err
-	}
-	pr, err := segment.Open(probeDir, segment.Options{})
-	if err != nil {
-		return err
-	}
-	defer pr.Close()
-	var groupDs []time.Duration
-	reps := *iters * 50
-	for i := 0; i < reps; i++ {
-		t0 := time.Now()
-		_, n, ok := pr.GroupQuantiles(store.DimCountry, "speedchecker", "DE", store.Window{}, 0.5, 0.95, 0.99)
-		groupDs = append(groupDs, time.Since(t0))
-		if !ok {
-			return fmt.Errorf("benchsegment: group probe refused the sketch path")
-		}
-		rep.GroupRows = n
-	}
-	rep.GroupP50Us = durQuantile(groupDs, 0.5)
-	rep.GroupP99Us = durQuantile(groupDs, 0.99)
-
-	// Sketch-vs-exact error quantiles across the figure families.
-	var medianErrs, fracErrs, diffErrs []float64
-	emap, amap := exact.LatencyMap(1), approx.LatencyMap(1)
-	for i := range emap {
-		if emap[i].MedianMs != 0 {
-			medianErrs = append(medianErrs, absf(amap[i].MedianMs-emap[i].MedianMs)/emap[i].MedianMs)
-		}
-	}
-	for _, platform := range []string{"speedchecker", "atlas"} {
-		ec, ac := exact.ContinentCDFs(platform), approx.ContinentCDFs(platform)
-		for i := range ec {
-			fracErrs = append(fracErrs,
-				absf(ac[i].UnderMTP-ec[i].UnderMTP),
-				absf(ac[i].UnderHPL-ec[i].UnderHPL),
-				absf(ac[i].UnderHRT-ec[i].UnderHRT))
-		}
-	}
-	ed, ad := exact.PlatformDiff(), approx.PlatformDiff()
-	for i := range ed {
-		for c := range ed[i].Diffs {
-			diffErrs = append(diffErrs, absf(ad[i].Diffs[c]-ed[i].Diffs[c]))
-		}
-	}
-	rep.Errors = []segErrorQuantiles{
-		floatQuantiles(medianErrs, "latency-map-median", "relative"),
-		floatQuantiles(fracErrs, "cdf-threshold-fraction", "absolute"),
-		floatQuantiles(diffErrs, "platform-diff-ms", "absolute"),
-	}
-
-	fmt.Fprintf(os.Stdout, "build %.1fms  write %.1fms  open %.2fms  ratio %.0fx  (%d rows, %d bytes)\n",
-		float64(rep.BuildNs)/1e6, float64(rep.WriteNs)/1e6, float64(rep.OpenNs)/1e6,
-		rep.BuildToOpenRatio, sum.Rows, rep.Bytes)
-	for _, q := range rep.Queries {
-		fmt.Fprintf(os.Stdout, "%-14s %-6s p50=%8.1fµs p99=%8.1fµs\n", q.Endpoint, q.Mode, q.P50Us, q.P99Us)
-	}
-	fmt.Fprintf(os.Stdout, "group probe (%d rows): p50=%.1fµs p99=%.1fµs\n", rep.GroupRows, rep.GroupP50Us, rep.GroupP99Us)
-	for _, e := range rep.Errors {
-		fmt.Fprintf(os.Stdout, "error %-24s (%s, n=%d): p50=%.5f p95=%.5f max=%.5f\n",
-			e.Figure, e.Kind, e.N, e.P50, e.P95, e.Max)
-	}
-
-	if *outPath != "" {
-		body, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*outPath, append(body, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *outPath)
-	}
-	return nil
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

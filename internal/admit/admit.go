@@ -25,8 +25,7 @@ import (
 type Clock func() time.Duration
 
 // DefaultMaxInFlight is the concurrency ceiling when Options leaves
-// MaxInFlight zero. Exported so layers that key off saturation (the
-// store's adaptive hedging guard) can derive thresholds from it.
+// MaxInFlight zero.
 const DefaultMaxInFlight = 1024
 
 // Options tunes a Controller.

@@ -23,10 +23,28 @@ import (
 // streams a few kilobytes (the chaos test's kill trigger needs that).
 var testCampaign = CampaignConfig{Seed: 2, Scale: 0.02, Cycles: 1, TargetsPerProbe: 4}
 
+// groundTruths memoizes sealSingleProcess: a sealed store is immutable,
+// and several tests compare against the same one.
+var (
+	groundTruthMu sync.Mutex
+	groundTruths  = map[groundTruthKey]*store.Store{}
+)
+
+type groundTruthKey struct {
+	camp        CampaignConfig
+	storeShards int
+}
+
 // sealSingleProcess runs the campaign in one process into a fresh feed
 // and seals it — the ground truth the distributed runs must match.
 func sealSingleProcess(t *testing.T, camp CampaignConfig, storeShards int) *store.Store {
 	t.Helper()
+	groundTruthMu.Lock()
+	defer groundTruthMu.Unlock()
+	key := groundTruthKey{camp, storeShards}
+	if st := groundTruths[key]; st != nil {
+		return st
+	}
 	setup, err := core.Prepare(camp.coreConfig(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +53,9 @@ func sealSingleProcess(t *testing.T, camp CampaignConfig, storeShards int) *stor
 	if _, _, _, err := setup.RunCampaigns(context.Background(), feed); err != nil {
 		t.Fatal(err)
 	}
-	return feed.Seal()
+	st := feed.Seal()
+	groundTruths[key] = st
+	return st
 }
 
 func newTestFeed(t *testing.T, camp CampaignConfig, storeShards int) *store.Feed {

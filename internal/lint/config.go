@@ -63,16 +63,14 @@ func DefaultConfig() *Config {
 			// The packages whose exported API spawns goroutines or
 			// blocks: the campaign engine (checkpoint/resume depends on
 			// cancellation), the HTTP service (graceful drain), the
-			// admission layer in front of it, the load harness
-			// (thousands of client goroutines must die with the run),
-			// the distributed campaign plane (coordinator accept
-			// loops, worker lease loops and both transports block on
-			// peers that may never answer), and the mmap-backed segment
-			// reader (it sits directly on the serve path, so an exported
-			// method that spawned or blocked would dodge request
-			// cancellation).
+			// admission layer in front of it, the distributed campaign
+			// plane (coordinator accept loops, worker lease loops and
+			// both transports block on peers that may never answer), and
+			// the mmap-backed segment reader (it sits directly on the
+			// serve path, so an exported method that spawned or blocked
+			// would dodge request cancellation).
 			CtxPropagate.Name: {
-				Include: []string{"internal/measure", "internal/serve", "internal/admit", "internal/load", "internal/cluster", "internal/segment"},
+				Include: []string{"internal/measure", "internal/serve", "internal/admit", "internal/cluster", "internal/segment"},
 			},
 			// The flow-aware invariants (DESIGN.md §13) hold everywhere:
 			// a leaked span, a fire-and-forget goroutine, a channel op

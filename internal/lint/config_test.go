@@ -39,13 +39,12 @@ func TestNoRawTimeObsExemption(t *testing.T) {
 	}
 	// Sibling packages — including ones that route timing through obs —
 	// keep the full contract: a plain time.Now() still fails there.
-	// internal/admit and internal/load are pinned explicitly: the
-	// admission layer and the load harness were built clock-free
-	// (injected Clock, obs.Time/obs.After) precisely so they would NOT
+	// internal/admit is pinned explicitly: the admission layer was built
+	// clock-free (injected Clock, obs.Time) precisely so it would NOT
 	// need an exemption, and this keeps anyone from quietly adding one.
 	for _, rel := range []string{
 		"internal/measure", "internal/store", "internal/obsidian",
-		"internal/admit", "internal/load",
+		"internal/admit",
 		// The distributed campaign plane and its wire codec are also
 		// clock-free by construction — lease expiry reads an injected
 		// Clock and the reaper/heartbeats pace on obs.After — so
@@ -64,14 +63,14 @@ func TestNoRawTimeObsExemption(t *testing.T) {
 }
 
 // TestCtxPropagateCoversAdmissionAndLoad pins the ctxpropagate scope:
-// the admission controller, the load harness and the distributed
-// campaign plane ship goroutine-spawning / channel-blocking APIs and
-// must stay inside the analyzer's Include list.
+// the admission controller and the distributed campaign plane ship
+// goroutine-spawning / channel-blocking APIs and must stay inside the
+// analyzer's Include list.
 func TestCtxPropagateCoversAdmissionAndLoad(t *testing.T) {
 	scope := DefaultConfig().Scopes[CtxPropagate.Name]
 	for _, rel := range []string{
 		"internal/measure", "internal/serve", "internal/admit",
-		"internal/load", "internal/cluster", "internal/segment",
+		"internal/cluster", "internal/segment",
 	} {
 		if !scope.Matches(rel) {
 			t.Errorf("ctxpropagate scope must cover %s", rel)

@@ -4,9 +4,7 @@ package obs_test
 // real spine — campaign engine streaming into the sharded store feed —
 // once uninstrumented and once with a registry and tracer attached.
 // BenchmarkObsOverhead is the acceptance benchmark for the subsystem:
-// the instrumented run must stay within a few percent of the bare one
-// (recorded in BENCH_obs.json; CI replays it in -benchtime=1x smoke
-// mode).
+// the instrumented run must stay within a few percent of the bare one.
 
 import (
 	"context"

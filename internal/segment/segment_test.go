@@ -3,6 +3,7 @@ package segment
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -151,6 +152,36 @@ func TestWriteDeterministic(t *testing.T) {
 	}
 }
 
+// TestWriteFailureLeavesNoMeta pins the publication order: meta.cseg is
+// what Open starts from, so a write that dies on a shard must leave the
+// directory without one — including the stale meta of an earlier
+// complete write.
+func TestWriteFailureLeavesNoMeta(t *testing.T) {
+	st := buildStore(t, 4, 4, 16, 3)
+	dir := t.TempDir()
+	if err := Write(dir, st); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where shard 1's file belongs makes that write fail.
+	shard1 := filepath.Join(dir, ShardFile(1))
+	if err := os.Remove(shard1); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(shard1, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(dir, st); err == nil {
+		t.Fatal("Write succeeded over an unwritable shard path")
+	}
+	if _, err := os.Stat(filepath.Join(dir, MetaFile)); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("stat %s after a failed write: %v, want not-exist", MetaFile, err)
+	}
+	if rd, err := Open(dir, Options{}); err == nil {
+		rd.Close()
+		t.Error("Open mounted a directory whose write failed")
+	}
+}
+
 // TestCheckRejectsCorruption walks every byte of a valid shard file,
 // flips it, and requires CheckShard to fail (or, for bytes the footer
 // never references, at worst still parse) without panicking. It then
@@ -247,4 +278,3 @@ func TestZoneMapLieDetected(t *testing.T) {
 		t.Fatalf("RTT zone lie: got %v, want ErrZoneMap", err)
 	}
 }
-

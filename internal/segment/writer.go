@@ -2,7 +2,9 @@ package segment
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -21,8 +23,8 @@ const MetaFile = "meta.cseg"
 // ShardFile names shard i's segment file.
 func ShardFile(i int) string { return fmt.Sprintf("shard-%04d.cseg", i) }
 
-// Write serializes a sealed store into dir as one meta file plus one
-// file per shard, creating dir if needed. The output is a
+// Write serializes a sealed store into dir as one file per shard plus
+// the meta file, written last, creating dir if needed. The output is a
 // deterministic function of the sealed store: the store dumps in
 // canonical order and every encoding choice is value-driven.
 func Write(dir string, st *store.Store) error {
@@ -60,7 +62,11 @@ func Write(dir string, st *store.Store) error {
 	for len(shardFiles) < sum.Shards { // stores with zero shards dumped
 		shardFiles = append(shardFiles, newShardWriter(sum.Partitions).finish())
 	}
-	if err := os.WriteFile(filepath.Join(dir, MetaFile), mw.finish(), 0o644); err != nil {
+	// Open starts from the meta file, so it is removed first and written
+	// last: a write that dies on any shard leaves a directory Open
+	// refuses, never one it starts mounting.
+	metaPath := filepath.Join(dir, MetaFile)
+	if err := os.Remove(metaPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	for i, buf := range shardFiles {
@@ -68,7 +74,7 @@ func Write(dir string, st *store.Store) error {
 			return err
 		}
 	}
-	return nil
+	return os.WriteFile(metaPath, mw.finish(), 0o644)
 }
 
 // metaWriter accumulates the meta file: store shape, partition

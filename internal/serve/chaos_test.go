@@ -1,55 +1,62 @@
 package serve_test
 
 import (
-	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/load"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
 
+// chaosPaths is the request mix of the chaos run: the figure endpoints
+// in dashboard order.
+var chaosPaths = []string{
+	"/v1/latency-map",
+	"/v1/cdf?platform=speedchecker",
+	"/v1/cdf?platform=atlas",
+	"/v1/platform-diff",
+	"/v1/peering-shares",
+}
+
 // TestChaosLiveResealUnderLoad is the zero-drop proof: 1024 concurrent
-// clients hammer the API through the load harness while the store is
-// live-swapped between two different datasets every few milliseconds.
-// The run must finish with
+// clients hammer the handler — four GETs each over two paths, the
+// second GET of a path revalidating with the ETag of the first — while
+// the store is live-swapped between two different datasets every few
+// milliseconds. The run must finish with
 //
 //   - zero anomalies — every response is 200, 304, 429 or 503, nothing
 //     else (no 500s, no timeouts, no torn reads);
 //   - zero mixed-epoch bodies — every 200 body is byte-identical to
 //     the canonical body of the store its X-Store-Epoch names;
 //   - at least two store epochs observed by the clients;
-//   - the hedge, quota, shed and swap counters visible on /v1/metricsz.
+//   - the quota, shed and swap counters visible on /v1/metricsz.
 func TestChaosLiveResealUnderLoad(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, ds, processed := fixture(t)
-	// Both stores share the registry (hedge counters intern once) and
-	// hedge aggressively so the fan-out's recovery path runs under load.
-	hedge := store.HedgeOptions{Enabled: true, Delay: 300 * time.Microsecond}
-	stA := store.FromDataset(ds, processed, store.Options{Shards: 4, Obs: reg, Hedge: hedge})
-	stB := altStore(store.Options{Shards: 4, Obs: reg, Hedge: hedge})
+	stA := store.FromDataset(ds, processed, store.Options{Shards: 4, Obs: reg})
+	stB := altStore(store.Options{Shards: 4, Obs: reg})
 
 	// Canonical bodies per store for every path in the chaos mix. The
 	// stores are sealed and the queries deterministic, so each (store,
 	// path) pair has exactly one 200 body.
-	endpoints := load.DefaultEndpoints()
 	canon := map[string]string{} // body → "A" or "B"
 	for name, st := range map[string]serve.Querier{"A": stA, "B": stB} {
 		h := serve.New(st, serve.Options{}).Handler()
-		for _, ep := range endpoints {
-			rec := doGet(h, ep.Path, nil)
+		for _, path := range chaosPaths {
+			rec := doGet(h, path, nil)
 			if rec.Code != http.StatusOK {
-				t.Fatalf("canonical GET %s on %s = %d", ep.Path, name, rec.Code)
+				t.Fatalf("canonical GET %s on %s = %d", path, name, rec.Code)
 			}
 			body := rec.Body.String()
 			if prev, dup := canon[body]; dup && prev != name {
-				t.Fatalf("stores A and B share a body for %s; torn-store detection would be blind", ep.Path)
+				t.Fatalf("stores A and B share a body for %s; torn-store detection would be blind", path)
 			}
 			canon[body] = name
 		}
@@ -67,12 +74,34 @@ func TestChaosLiveResealUnderLoad(t *testing.T) {
 		}
 		return "B"
 	}
+	// validate returns a description of what is wrong with one response,
+	// or "" for a clean one.
+	validate := func(path string, rec *httptest.ResponseRecorder) string {
+		epoch := rec.Header().Get("X-Store-Epoch")
+		switch rec.Code {
+		case http.StatusNotModified, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			return "" // 304 has no body; 429/503 are admission, not data
+		case http.StatusOK:
+		default:
+			return fmt.Sprintf("GET %s: status %d: %.120s", path, rec.Code, rec.Body.String())
+		}
+		want := storeFor(epoch)
+		if want == "" {
+			return fmt.Sprintf("GET %s: 200 with unparseable X-Store-Epoch %q", path, epoch)
+		}
+		got, known := canon[rec.Body.String()]
+		if !known {
+			return fmt.Sprintf("GET %s: epoch %s: body matches neither store (torn read?): %.80s", path, epoch, rec.Body.String())
+		}
+		if got != want {
+			return fmt.Sprintf("GET %s: mixed epoch: X-Store-Epoch %s (store %s) served store %s's body", path, epoch, want, got)
+		}
+		return ""
+	}
 
 	srv := serve.New(stA, serve.Options{Obs: reg})
 	h := srv.Handler()
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
 	loadDone := make(chan struct{})
 	swapsDone := make(chan int)
 	go func() {
@@ -90,54 +119,63 @@ func TestChaosLiveResealUnderLoad(t *testing.T) {
 		}
 	}()
 
-	res, err := load.Run(ctx, "http://chaos", load.HandlerClient{Handler: h}, load.Options{
-		Clients:           1024,
-		RequestsPerClient: 4,
-		Endpoints:         endpoints,
-		Seed:              7,
-		Obs:               reg,
-		Validate: func(status int, epoch string, _ http.Header, body []byte) error {
-			if status != http.StatusOK {
-				return nil // 304 has no body; 429/503 are admission, not data
+	const clients, perClient = 1024, 4
+	var (
+		mu        sync.Mutex
+		status    = map[int]int{}
+		epochs    = map[string]struct{}{}
+		anomalies []string
+		wg        sync.WaitGroup
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			hdr := map[string]string{"X-Client-ID": fmt.Sprintf("chaos-%d", c)}
+			for i := 0; i < perClient; i++ {
+				path := chaosPaths[(c+i/2)%len(chaosPaths)]
+				rec := doGet(h, path, hdr)
+				if etag := rec.Header().Get("ETag"); i%2 == 0 && etag != "" {
+					hdr["If-None-Match"] = etag
+				} else {
+					delete(hdr, "If-None-Match")
+				}
+				bad := validate(path, rec)
+				mu.Lock()
+				status[rec.Code]++
+				if epoch := rec.Header().Get("X-Store-Epoch"); epoch != "" {
+					epochs[epoch] = struct{}{}
+				}
+				if bad != "" {
+					anomalies = append(anomalies, bad)
+				}
+				mu.Unlock()
 			}
-			want := storeFor(epoch)
-			if want == "" {
-				return fmt.Errorf("200 with unparseable X-Store-Epoch %q", epoch)
-			}
-			got, known := canon[string(body)]
-			if !known {
-				return fmt.Errorf("epoch %s: body matches neither store (torn read?): %.80s", epoch, body)
-			}
-			if got != want {
-				return fmt.Errorf("mixed epoch: X-Store-Epoch %s (store %s) served store %s's body", epoch, want, got)
-			}
-			return nil
-		},
-	})
+		}(c)
+	}
+	wg.Wait()
 	close(loadDone)
 	swaps := <-swapsDone
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	if res.Requests != 1024*4 {
-		t.Errorf("requests = %d, want %d", res.Requests, 1024*4)
+	requests := 0
+	for _, n := range status {
+		requests += n
 	}
-	if res.AnomalyCount != 0 {
-		t.Errorf("%d anomalies under chaos (first %d: %v)", res.AnomalyCount, len(res.Anomalies), res.Anomalies)
+	if requests != clients*perClient {
+		t.Errorf("requests = %d, want %d", requests, clients*perClient)
 	}
-	for code := range res.Status {
-		switch code {
-		case http.StatusOK, http.StatusNotModified, http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		default:
-			t.Errorf("status %d appeared under chaos: %v", code, res.Status)
+	if len(anomalies) != 0 {
+		first := anomalies
+		if len(first) > 16 {
+			first = first[:16]
 		}
+		t.Errorf("%d anomalies under chaos (first %d: %v)", len(anomalies), len(first), first)
 	}
-	if res.Status[http.StatusOK] == 0 {
+	if status[http.StatusOK] == 0 {
 		t.Error("no 200s at all; the chaos run never exercised the data path")
 	}
-	if len(res.Epochs) < 2 {
-		t.Errorf("epochs observed = %v (%d swaps fired); a live re-seal run must span at least 2", res.Epochs, swaps)
+	if len(epochs) < 2 {
+		t.Errorf("epochs observed = %v (%d swaps fired); a live re-seal run must span at least 2", epochs, swaps)
 	}
 	if swaps == 0 {
 		t.Error("swap loop never fired; the run was not a re-seal chaos test")
@@ -146,14 +184,11 @@ func TestChaosLiveResealUnderLoad(t *testing.T) {
 	// The robustness counters must all be scrapeable on /v1/metricsz.
 	body := doGet(h, "/v1/metricsz", nil).Body.String()
 	for _, name := range []string{
-		"store_hedges_fired_total",
-		"store_hedges_won_total",
 		"admit_quota_denied_total",
 		"admit_shed_total",
 		"admit_in_flight",
 		"serve_store_swaps_total",
 		"serve_store_epoch",
-		"loadgen_requests_total",
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("metricsz missing %s after the chaos run", name)

@@ -250,11 +250,6 @@ func (s *Server) Ready() bool {
 	return !s.draining.Load() && s.cur.Load() != nil && s.admit != nil
 }
 
-// InFlight exposes the admission layer's live concurrency gauge — the
-// signal the store's adaptive hedge gate reads (store.HedgeOptions.
-// InFlight), so a saturated server stops duplicating shard queries.
-func (s *Server) InFlight() int64 { return s.admit.InFlight() }
-
 // Handler returns the routed HTTP handler. The data endpoints sit
 // behind admission control and the per-request timeout, in that order:
 // the concurrency ceiling sheds with a cheap 503 *before* the
@@ -461,8 +456,8 @@ type Statsz struct {
 	// empty when unset.
 	StoreMode string                   `json:"store_mode,omitempty"`
 	Store     store.Summary            `json:"store"`
-	Cache         CacheStats               `json:"cache"`
-	Endpoints     map[string]EndpointStats `json:"endpoints"`
+	Cache     CacheStats               `json:"cache"`
+	Endpoints map[string]EndpointStats `json:"endpoints"`
 }
 
 // CacheStats describes the response cache.

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"context"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/geo"
@@ -15,20 +13,19 @@ import (
 
 // gather fans out over the shards in parallel — each shard restricts
 // the requested dimension to the query window (zone-map pruning over
-// its time partitions) and filters down to the platform, hedged against
-// stragglers when hedging is enabled — and k-way merges the per-key
-// sorted vectors into one sorted vector per key. The merged vectors may
-// alias shard memory and must be treated as read-only.
+// its time partitions) and filters down to the platform — and k-way
+// merges the per-key sorted vectors into one sorted vector per key. The
+// merged vectors may alias shard memory and must be treated as
+// read-only.
 func (s *Store) gather(dim dimension, w Window, platform string) map[string][]float64 {
 	defer obs.Time(s.mMerge)()
-	pick := func(sh *shard) map[groupKey][]float64 { return sh.view(dim, w) }
 	perShard := make([]map[string][]float64, len(s.shards))
 	var wg sync.WaitGroup
 	for i, sh := range s.shards {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			perShard[i] = s.queryShard(i, sh, pick, platform)
+			perShard[i] = s.queryShard(sh, dim, w, platform)
 		}(i, sh)
 	}
 	wg.Wait()
@@ -55,106 +52,18 @@ func (s *Store) gather(dim dimension, w Window, platform string) map[string][]fl
 	return out
 }
 
-// queryShard runs one shard's pick-and-filter, hedged: if the primary
-// attempt has not answered within the hedge delay (p95 of recent shard
-// queries, or the configured fixed delay), a second identical attempt
-// launches and the first response wins; the loser's context is
-// cancelled so it stops filtering mid-map. Hedging an immutable
-// in-memory shard re-reads the same frozen data, so whichever attempt
-// wins, the answer is identical — the hedge buys tail latency, never
-// consistency.
-func (s *Store) queryShard(idx int, sh *shard, pick func(*shard) map[groupKey][]float64, platform string) map[string][]float64 {
-	if !s.hedge.Enabled {
-		return s.runPick(context.Background(), idx, sh, pick, platform, false)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel() // stops the losing attempt
-
-	type attempt struct {
-		groups map[string][]float64
-		hedged bool
-	}
-	results := make(chan attempt, 2)
-	run := func(hedged bool) {
-		if groups := s.runPick(ctx, idx, sh, pick, platform, hedged); groups != nil {
-			results <- attempt{groups, hedged}
-		}
-	}
-	go run(false)
-	select {
-	case r := <-results:
-		return r.groups
-	case <-obs.After(s.hedgeDelay()):
-		if s.hedge.saturated() {
-			// Adaptive gate: the server is at its admission ceiling, so a
-			// duplicate attempt would steal CPU from live requests. Wait
-			// for the primary instead of hedging.
-			s.mHedgesSupp.Inc()
-			r := <-results
-			return r.groups
-		}
-		s.mHedgesFired.Inc()
-		go run(true)
-		// A cancelled attempt returns nil without sending, and we only
-		// cancel after receiving — so exactly the winner arrives here.
-		r := <-results
-		if r.hedged {
-			s.mHedgesWon.Inc()
-		}
-		return r.groups
-	}
-}
-
-// runPick filters one shard's group map down to the platform, checking
-// for cancellation every few groups so a losing hedge attempt stops
-// early. Returns nil if cancelled.
-func (s *Store) runPick(ctx context.Context, idx int, sh *shard, pick func(*shard) map[groupKey][]float64, platform string, hedged bool) map[string][]float64 {
+// queryShard runs one shard's pick-and-filter: the shard's group map
+// for the dimension and window, filtered down to the platform.
+func (s *Store) queryShard(sh *shard, dim dimension, w Window, platform string) map[string][]float64 {
 	defer obs.Time(s.mPick)()
-	if s.shardStall != nil {
-		s.shardStall(idx, hedged) // test seam: simulated straggler
-	}
-	groups := pick(sh)
+	groups := sh.view(dim, w)
 	out := make(map[string][]float64, len(groups))
-	n := 0
 	for g, xs := range groups {
-		if n++; n&63 == 0 && ctx.Err() != nil {
-			return nil
-		}
 		if g.platform == platform {
 			out[g.name] = xs
 		}
 	}
-	if ctx.Err() != nil {
-		return nil
-	}
 	return out
-}
-
-// coldHedgeDelay is the hedge trigger before enough shard queries have
-// been observed to derive a p95.
-const coldHedgeDelay = time.Millisecond
-
-// hedgeMinObservations is how many shard-query latencies must exist
-// before the derived delay is trusted over coldHedgeDelay.
-const hedgeMinObservations = 32
-
-// hedgeDelay is how long the primary attempt may run before a hedge
-// fires: the fixed configured delay, or the p95 of observed shard-query
-// latency floored at MinDelay — hedging earlier than the p95 would
-// hedge one query in twenty on noise alone.
-func (s *Store) hedgeDelay() time.Duration {
-	if s.hedge.Delay > 0 {
-		return s.hedge.Delay
-	}
-	snap := s.mPick.Snapshot()
-	if snap.Count < hedgeMinObservations {
-		return coldHedgeDelay
-	}
-	d := time.Duration(snap.Quantile(0.95) * float64(time.Millisecond))
-	if d < s.hedge.MinDelay {
-		d = s.hedge.MinDelay
-	}
-	return d
 }
 
 // CountrySamples returns the platform's nearest-DC RTT samples merged

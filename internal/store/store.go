@@ -17,7 +17,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
@@ -48,49 +47,12 @@ type Options struct {
 	// Zero defaults to Partitions (one cycle per partition); cycles at
 	// or past the end clamp into the last partition.
 	Cycles int
-	// Hedge configures straggler hedging in the query fan-out.
-	Hedge HedgeOptions
 	// Obs registers the store's instruments: feed ingest counters,
 	// seal latency, per-shard row gauges and query merge latency. Nil
 	// runs uninstrumented. The store itself never reads the wall clock
 	// (it is deterministic-scope; see internal/lint); timing happens
-	// through obs.Time and obs.After, where the clock reads are
-	// allowlisted.
+	// through obs.Time, where the clock reads are allowlisted.
 	Obs *obs.Registry
-}
-
-// HedgeOptions tunes the hedged shard fan-out: when a shard query has
-// not answered within the hedge delay, a duplicate attempt launches
-// and the first response wins (the loser is cancelled). Because shards
-// are immutable, a hedge can only trade duplicated work for tail
-// latency — never a different answer.
-type HedgeOptions struct {
-	// Enabled turns hedging on.
-	Enabled bool
-	// Delay is a fixed hedge trigger. Zero derives the trigger from
-	// the p95 of observed shard-query latency instead.
-	Delay time.Duration
-	// MinDelay floors the derived trigger so a uniformly-fast store
-	// does not hedge on scheduler noise (default 200µs).
-	MinDelay time.Duration
-	// InFlight, when set together with InFlightLimit, reports the
-	// server's current admitted-request concurrency (the admit
-	// in-flight gauge). A hedge that comes due while InFlight() >=
-	// InFlightLimit is suppressed instead of fired: hedging duplicates
-	// work, and duplicated work on a saturated server buys tail
-	// latency for one request by stealing CPU from all the others
-	// (BENCH_serve shows hedging pays at low concurrency and costs at
-	// CPU saturation). Suppressions are counted in
-	// store_hedges_suppressed_total.
-	InFlight func() int64
-	// InFlightLimit is the saturation threshold for InFlight; zero
-	// disables the gate.
-	InFlightLimit int64
-}
-
-// saturated reports whether the adaptive gate vetoes hedging right now.
-func (o HedgeOptions) saturated() bool {
-	return o.InFlight != nil && o.InFlightLimit > 0 && o.InFlight() >= o.InFlightLimit
 }
 
 func (o Options) withDefaults() Options {
@@ -102,9 +64,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Cycles <= 0 {
 		o.Cycles = o.Partitions
-	}
-	if o.Hedge.MinDelay <= 0 {
-		o.Hedge.MinDelay = 200 * time.Microsecond
 	}
 	return o
 }
@@ -235,15 +194,11 @@ func (b *Builder) Seal() *Store {
 		partWindows[i] = b.opts.partitionWindow(i)
 	}
 	s := &Store{
-		shards:       make([]*shard, len(b.shards)),
-		peering:      b.peering,
-		partWindows:  partWindows,
-		hedge:        b.opts.Hedge,
-		mMerge:       b.opts.Obs.Histogram("store_query_merge_ms", obs.LatencyBuckets),
-		mPick:        b.opts.Obs.Histogram("store_shard_query_ms", obs.LatencyBuckets),
-		mHedgesFired: b.opts.Obs.Counter("store_hedges_fired_total"),
-		mHedgesWon:   b.opts.Obs.Counter("store_hedges_won_total"),
-		mHedgesSupp:  b.opts.Obs.Counter("store_hedges_suppressed_total"),
+		shards:      make([]*shard, len(b.shards)),
+		peering:     b.peering,
+		partWindows: partWindows,
+		mMerge:      b.opts.Obs.Histogram("store_query_merge_ms", obs.LatencyBuckets),
+		mPick:       b.opts.Obs.Histogram("store_shard_query_ms", obs.LatencyBuckets),
 	}
 	for i, sb := range b.shards {
 		s.shards[i] = sb.seal(b.opts)
@@ -287,32 +242,11 @@ type Store struct {
 	peering     []map[string]map[pipeline.Class]int
 	partWindows []Window
 	summary     Summary
-	hedge       HedgeOptions
 	// mMerge times each gather (shard fan-out + k-way merge); mPick
-	// times each per-shard pick (and feeds the p95 the hedge delay
-	// derives from). Both are interned at seal so queries pay one
-	// atomic observation, no registry lookup.
-	mMerge       *obs.Histogram
-	mPick        *obs.Histogram
-	mHedgesFired *obs.Counter
-	mHedgesWon   *obs.Counter
-	mHedgesSupp  *obs.Counter
-	// shardStall, when set (tests only), runs at the start of every
-	// shard attempt so a straggler shard can be simulated.
-	shardStall func(shardIdx int, hedged bool)
-}
-
-// WithHedge returns a view of the same sealed store with a different
-// hedging policy. The shards, summaries and instruments are shared —
-// the store stays immutable — so toggling hedging (the loadgen A/B
-// comparison, a serve flag flip) costs one small allocation.
-func (s *Store) WithHedge(h HedgeOptions) *Store {
-	clone := *s
-	if h.MinDelay <= 0 {
-		h.MinDelay = 200 * time.Microsecond
-	}
-	clone.hedge = h
-	return &clone
+	// times each per-shard pick. Both are interned at seal so queries
+	// pay one atomic observation, no registry lookup.
+	mMerge *obs.Histogram
+	mPick  *obs.Histogram
 }
 
 // Summary describes the sealed store for /v1/statsz and logs.
