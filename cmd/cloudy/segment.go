@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -79,23 +80,48 @@ func cmdSegment(ctx context.Context, args []string) error {
 		len(files), total, sum.Rows, elapsed.Round(time.Millisecond))
 
 	if *check {
+		var usage segment.Usage
 		for _, name := range files {
 			raw, err := os.ReadFile(name)
 			if err != nil {
 				return err
 			}
 			if filepath.Base(name) == segment.MetaFile {
-				err = segment.CheckMeta(raw)
+				err = usage.AddMeta(raw)
 			} else {
-				err = segment.CheckShard(raw)
+				err = usage.AddShard(raw)
 			}
 			if err != nil {
 				return fmt.Errorf("check %s: %w", filepath.Base(name), err)
 			}
 		}
 		fmt.Fprintf(os.Stderr, "check passed: every frame, checksum and zone map validates\n")
+		printUsage(os.Stderr, usage, sum.Rows)
 	}
 	return nil
+}
+
+// printUsage breaks the checked directory's bytes down by block kind
+// and by query dimension, each also per stored row: every row is on
+// disk once per dimension, so the dimension lines sum to the column and
+// sketch lines.
+func printUsage(w io.Writer, u segment.Usage, rows int) {
+	var total int64
+	for _, n := range u.ByKind {
+		total += n
+	}
+	line := func(what string, n int64) {
+		fmt.Fprintf(w, "  %-13s %10d B  %5.1f%%  %6.2f B/row\n", what, n,
+			100*float64(n)/float64(max(total, 1)), float64(n)/float64(max(rows, 1)))
+	}
+	fmt.Fprintf(w, "bytes by block kind and by dimension, %d rows:\n", rows)
+	line("total", total)
+	for kind := segment.BlockMeta; kind <= segment.BlockFooter; kind++ {
+		line(kind.String(), u.ByKind[kind])
+	}
+	for dim, name := range []string{store.DimCountry: "country", store.DimContinent: "continent", store.DimPair: "pair"} {
+		line("by "+name, u.ByDim[dim])
+	}
 }
 
 func segmentFiles(dir string, shards int) []string {

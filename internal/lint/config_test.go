@@ -55,6 +55,8 @@ func TestNoRawTimeObsExemption(t *testing.T) {
 		// the clock it would break replayability of figure queries, so
 		// the exemption list must never grow them.
 		"internal/segment", "internal/sketch",
+		// So is the byte vocabulary all three are written in.
+		"internal/binfmt",
 	} {
 		if got := runAs(rel); len(got) == 0 {
 			t.Errorf("norawtime found nothing in %s; the obs exemption leaked", rel)

@@ -6,35 +6,29 @@
 // in-memory vectors.
 //
 // Every file starts with the "CSEG"+version preamble and then carries
-// length-prefixed frames in the internal/wirecodec shape: uvarint
-// payload length, payload, CRC32-Castagnoli of the payload. A frame's
-// payload is one block — a kind byte followed by the kind-specific
-// body. Shard files end with a footer block indexing every other
-// block (kind, group identity, time partition, row count, cycle and
-// RTT zone maps, offset, length) and a fixed 16-byte tail locating
-// the footer, so a reader maps the file, reads the tail, parses the
-// footer and dictionary, and touches data blocks only when a query
-// needs them; blocks whose zone map misses the query window are
-// pruned without faulting their pages in.
+// internal/binfmt frames (uvarint payload length, payload, CRC32-C). A
+// frame's payload is one block — a kind byte followed by the
+// kind-specific body. Shard files end with a footer block indexing
+// every other block (kind, group identity, time partition, row count,
+// cycle and RTT zone maps, offset, length) and a fixed 16-byte tail
+// locating the footer, so a reader maps the file, reads the tail,
+// parses the footer and dictionary, and touches data blocks only when
+// a query needs them; blocks whose zone map misses the query window
+// are pruned without faulting their pages in.
 //
 // Column blocks hold one group's RTT and cycle columns (≤ 4096 rows
-// per block): RTTs as first-value-raw + uvarint float-bit deltas
-// (group vectors are sorted ascending, so bit patterns of positive
-// floats increase monotonically), cycles as zigzag varint deltas —
-// the same primitives internal/wirecodec frames use on the wire.
+// per block): RTTs as binfmt's sorted-float column, cycles as zigzag
+// varint deltas — the vocabulary the wire and the sketches also use.
 // Sketch blocks hold one group×partition t-digest (internal/sketch).
 // The format is deterministic end to end: the same sealed store
 // always writes byte-identical segment files.
 package segment
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 
-	"repro/internal/wirecodec"
+	"repro/internal/binfmt"
 )
 
 // Magic begins every segment file, followed by FormatVersion.
@@ -119,45 +113,41 @@ var (
 	ErrZoneMap = fmt.Errorf("%w: zone map contradicts block data", ErrCorrupt)
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-func crc32Of(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
-
-// appendFrame appends one framed block: uvarint payload length,
-// payload (kind byte + body), CRC32C of the payload.
-func appendFrame(dst []byte, kind BlockKind, body []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(body))+1)
-	dst = append(dst, byte(kind))
-	dst = append(dst, body...)
-	crc := crc32.Update(0, castagnoli, dst[len(dst)-len(body)-1:])
-	return binary.LittleEndian.AppendUint32(dst, crc)
+// blockErr maps a frame or cursor failure in the named block onto the
+// package sentinels — the one place binfmt errors become segment
+// errors. Failures the parsers raised themselves already wrap
+// ErrCorrupt and pass through.
+func blockErr(what string, err error) error {
+	switch {
+	case err == nil || errors.Is(err, ErrCorrupt):
+		return err
+	case errors.Is(err, binfmt.ErrShort):
+		return fmt.Errorf("%w: %s: %v", ErrTruncated, what, err)
+	case errors.Is(err, binfmt.ErrCRC):
+		return fmt.Errorf("%w: %s", ErrCRC, what)
+	default:
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, what, err)
+	}
 }
 
-// frameAt reads the framed block starting at off, verifying bounds and
-// CRC, and returns the kind, the body, and the offset one past the
-// frame.
-func frameAt(data []byte, off int) (BlockKind, []byte, int, error) {
-	if off < 0 || off >= len(data) {
-		return 0, nil, 0, fmt.Errorf("%w: frame offset %d out of range", ErrTruncated, off)
+// frameAt reads the framed block starting at off and returns its kind,
+// a cursor over its body, and the offset one past the frame.
+func frameAt(data []byte, off int) (BlockKind, binfmt.Dec, int, error) {
+	payload, next, err := binfmt.FrameAt(data, off)
+	if err != nil {
+		return 0, binfmt.Dec{}, 0, blockErr("frame", err)
 	}
-	length, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return 0, nil, 0, fmt.Errorf("%w: frame length varint", ErrTruncated)
+	return BlockKind(payload[0]), binfmt.NewDec(payload[1:]), next, nil
+}
+
+// blockAt is frameAt for an offset an index vouches for: the block
+// there must be of kind want.
+func blockAt(data []byte, off int, want BlockKind) (binfmt.Dec, int, error) {
+	kind, c, next, err := frameAt(data, off)
+	if err == nil && kind != want {
+		err = fmt.Errorf("%w: block at offset %d is %v, want %v", ErrCorrupt, off, kind, want)
 	}
-	if length == 0 || length > wirecodec.MaxFrame {
-		return 0, nil, 0, fmt.Errorf("%w: frame length %d", ErrCorrupt, length)
-	}
-	start := off + n
-	end := start + int(length)
-	if end+4 > len(data) || end < start {
-		return 0, nil, 0, fmt.Errorf("%w: frame body", ErrTruncated)
-	}
-	payload := data[start:end]
-	want := binary.LittleEndian.Uint32(data[end:])
-	if crc32.Checksum(payload, castagnoli) != want {
-		return 0, nil, 0, ErrCRC
-	}
-	return BlockKind(payload[0]), payload[1:], end + 4, nil
+	return c, next, err
 }
 
 // checkPreamble validates the file preamble and returns the offset of
@@ -173,57 +163,4 @@ func checkPreamble(data []byte) (int, error) {
 		return 0, fmt.Errorf("%w: %d", ErrVersion, data[len(Magic)])
 	}
 	return len(Magic) + 1, nil
-}
-
-// readUvarint consumes one uvarint from b.
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: varint", ErrTruncated)
-	}
-	return v, b[n:], nil
-}
-
-// readZigzag consumes one zigzag-coded signed varint from b.
-func readZigzag(b []byte) (int64, []byte, error) {
-	u, rest, err := readUvarint(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	return wirecodec.Unzigzag(u), rest, nil
-}
-
-// readString consumes one length-prefixed string from b.
-func readString(b []byte) (string, []byte, error) {
-	n, rest, err := readUvarint(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > maxDictStringLen {
-		return "", nil, fmt.Errorf("%w: string length %d", ErrCorrupt, n)
-	}
-	if uint64(len(rest)) < n {
-		return "", nil, fmt.Errorf("%w: string body", ErrTruncated)
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendZigzag(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(dst, wirecodec.Zigzag(v))
-}
-
-func readFloatBits(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("%w: float bits", ErrTruncated)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
-}
-
-func appendFloatBits(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/geo"
-	"repro/internal/pipeline"
 	"repro/internal/sketch"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -289,16 +288,7 @@ func (r *Reader) ContinentCDFsWindow(platform string, w store.Window) []analysis
 			return continentCDFsFromSketches(sks)
 		}
 	}
-	byName := r.gatherExact(store.DimContinent, platform, w)
-	byCont := make(map[geo.Continent][]float64, len(byName))
-	for name, xs := range byName {
-		cont, err := geo.ParseContinent(name)
-		if err != nil {
-			continue
-		}
-		byCont[cont] = xs
-	}
-	return analysis.ContinentDistributionsFrom(byCont)
+	return analysis.ContinentDistributionsFrom(store.ByContinent(r.gatherExact(store.DimContinent, platform, w)))
 }
 
 // continentCDFsFromSketches materializes each continent's CDF from a
@@ -344,20 +334,9 @@ func (r *Reader) PlatformDiffWindow(w store.Window) []analysis.PlatformDiff {
 			return platformDiffFromSketches(sc, at)
 		}
 	}
-	toCont := func(byName map[string][]float64) map[geo.Continent][]float64 {
-		out := make(map[geo.Continent][]float64, len(byName))
-		for name, xs := range byName {
-			cont, err := geo.ParseContinent(name)
-			if err != nil {
-				continue
-			}
-			out[cont] = xs
-		}
-		return out
-	}
 	return analysis.PlatformComparisonFrom(
-		toCont(r.gatherExact(store.DimContinent, "speedchecker", w)),
-		toCont(r.gatherExact(store.DimContinent, "atlas", w)))
+		store.ByContinent(r.gatherExact(store.DimContinent, "speedchecker", w)),
+		store.ByContinent(r.gatherExact(store.DimContinent, "atlas", w)))
 }
 
 // platformDiffFromSketches matches the two platforms' distributions
@@ -395,36 +374,13 @@ func (r *Reader) PeeringShares() []analysis.InterconnectShare {
 // PeeringSharesWindow is PeeringShares restricted to a cycle window,
 // with the store's partition-granularity semantics.
 func (r *Reader) PeeringSharesWindow(w store.Window) []analysis.InterconnectShare {
-	merged := map[string]map[pipeline.Class]int{}
-	for i, part := range r.meta.peering {
-		if !r.meta.windows[i].OverlapsWindow(w) {
-			continue
-		}
-		for prov, classes := range part {
-			dst := merged[prov]
-			if dst == nil {
-				dst = map[pipeline.Class]int{}
-				merged[prov] = dst
-			}
-			for cl, n := range classes {
-				dst[cl] += n
-			}
-		}
-	}
-	return analysis.InterconnectionsFromCounts(merged)
+	return store.PeeringSharesIn(r.meta.peering, r.meta.windows, w)
 }
 
 // Changepoint ranks country×provider pairs by the RTT shift around
 // cycle `at`, with Store.Changepoint's window semantics.
 func (r *Reader) Changepoint(platform string, at, width int) []store.ChangepointEntry {
-	before := store.Window{To: at}
-	after := store.Window{From: at}
-	if width > 0 {
-		if f := at - width; f > 0 {
-			before.From = f
-		}
-		after.To = at + width
-	}
+	before, after := store.ChangepointWindows(at, width)
 	if !r.exact {
 		pre, ok1 := r.sketchView(store.DimPair, platform, before)
 		post, ok2 := r.sketchView(store.DimPair, platform, after)
@@ -454,7 +410,7 @@ func sketchShift(pre, post *sketch.Sketch) float64 {
 }
 
 // changepointFromSketches scores the pairs from merged digests,
-// mirroring store.ChangepointFrom's entry construction and ordering.
+// mirroring store.ChangepointFrom's entry construction.
 func changepointFromSketches(pre, post map[string]*sketch.Sketch) []store.ChangepointEntry {
 	names := make(map[string]struct{}, len(pre)+len(post))
 	for n := range pre {
@@ -492,26 +448,6 @@ func changepointFromSketches(pre, post map[string]*sketch.Sketch) []store.Change
 		}
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if (a.Status == "") != (b.Status == "") {
-			return a.Status == "" // scored pairs first
-		}
-		if a.Status != b.Status {
-			return a.Status < b.Status // "appeared" before "disappeared"
-		}
-		//lint:ignore floateq ordering comparator: exactly-equal scores fall through to the next tie-break
-		if a.Shift != b.Shift {
-			return a.Shift > b.Shift
-		}
-		//lint:ignore floateq ordering comparator: exactly-equal deltas fall through to the next tie-break
-		if a.DeltaMs != b.DeltaMs {
-			return a.DeltaMs > b.DeltaMs
-		}
-		if a.Country != b.Country {
-			return a.Country < b.Country
-		}
-		return a.Provider < b.Provider
-	})
+	store.RankChangepoint(out)
 	return out
 }

@@ -1,12 +1,14 @@
 package segment
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"repro/internal/binfmt"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/sketch"
@@ -47,6 +49,7 @@ type Reader struct {
 // fileMeta is the parsed meta.cseg: the store shape plus per-shard
 // summary inputs and the peering tallies.
 type fileMeta struct {
+	metaBytes  int // preamble + meta block frame; peering frames follow
 	shards     int
 	partitions int
 	cycles     int
@@ -83,13 +86,15 @@ type groupBlocks struct {
 
 // shardSeg is one mapped shard file.
 type shardSeg struct {
-	data    []byte
-	close   func() error
-	dict    []string
-	parts   []partZone
-	groups  map[qkey]*groupBlocks
-	keys    []qkey // sorted; deterministic iteration order
-	entries []entry
+	data      []byte
+	close     func() error
+	footerOff int
+	dictBytes int // the dictionary block's frame length
+	dict      []string
+	parts     []partZone
+	groups    map[qkey]*groupBlocks
+	keys      []qkey // sorted; deterministic iteration order
+	entries   []entry
 }
 
 // Open maps the segment directory written by Write and returns a
@@ -212,29 +217,27 @@ func parseMeta(data []byte) (fileMeta, error) {
 	if err != nil {
 		return m, err
 	}
-	kind, body, next, err := frameAt(data, off)
+	c, next, err := blockAt(data, off, BlockMeta)
 	if err != nil {
 		return m, err
 	}
-	if kind != BlockMeta {
-		return m, fmt.Errorf("%w: first block is %v, want meta", ErrCorrupt, kind)
-	}
-	if err := m.parseMetaBlock(body); err != nil {
+	if err := m.parseMetaBlock(&c); err != nil {
 		return m, err
 	}
+	m.metaBytes = next
 	m.peering = make([]map[string]map[pipeline.Class]int, m.partitions)
 	for i := range m.peering {
 		m.peering[i] = map[string]map[pipeline.Class]int{}
 	}
 	for next < len(data) {
-		kind, body, n, err := frameAt(data, next)
+		kind, c, n, err := frameAt(data, next)
 		if err != nil {
 			return m, err
 		}
 		next = n
 		switch kind {
 		case BlockPeering:
-			if err := m.parsePeeringBlock(body); err != nil {
+			if err := m.parsePeeringBlock(&c); err != nil {
 				return m, err
 			}
 		case BlockMeta, BlockDict, BlockColumn, BlockSketch, BlockFooter:
@@ -249,154 +252,54 @@ func parseMeta(data []byte) (fileMeta, error) {
 // maxShape bounds the declared store shape against hostile meta files.
 const maxShape = 1 << 20
 
-func (m *fileMeta) parseMetaBlock(b []byte) error {
-	var err error
-	var shards, parts, cycles, rows uint64
-	if shards, b, err = readUvarint(b); err != nil {
-		return err
+func (m *fileMeta) parseMetaBlock(c *binfmt.Dec) error {
+	m.shards, m.partitions = c.Count(maxShape), c.Count(maxShape)
+	m.cycles, m.rows = int(c.Uvarint()), int(c.Uvarint())
+	if m.shards == 0 || m.partitions == 0 {
+		c.Fail(fmt.Errorf("%w: shape %d shards × %d partitions", ErrCorrupt, m.shards, m.partitions))
 	}
-	if parts, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if cycles, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if rows, b, err = readUvarint(b); err != nil {
-		return err
-	}
-	if shards > maxShape || parts > maxShape || shards == 0 || parts == 0 {
-		return fmt.Errorf("%w: shape %d shards × %d partitions", ErrCorrupt, shards, parts)
-	}
-	m.shards, m.partitions, m.cycles, m.rows = int(shards), int(parts), int(cycles), int(rows)
 	m.windows = make([]store.Window, m.partitions)
 	for i := range m.windows {
-		var from, to int64
-		if from, b, err = readZigzag(b); err != nil {
-			return err
-		}
-		if to, b, err = readZigzag(b); err != nil {
-			return err
-		}
-		m.windows[i] = store.Window{From: int(from), To: int(to)}
+		m.windows[i] = store.Window{From: int(c.Zigzag()), To: int(c.Zigzag())}
 	}
 	m.shardMeta = make([]shardMeta, m.shards)
-	for i := range m.shardMeta {
+	for i := 0; i < len(m.shardMeta) && c.Err() == nil; i++ {
 		sm := &m.shardMeta[i]
-		var v uint64
-		if v, b, err = readUvarint(b); err != nil {
-			return err
+		sm.rows, sm.welfordN = int(c.Uvarint()), int(c.Uvarint())
+		sm.welfordMean, sm.welfordM2 = c.Float64(), c.Float64()
+		sm.welfordMin, sm.welfordMax = c.Float64(), c.Float64()
+		sm.providers = make([]string, c.Count(maxDictStrings))
+		for j := range sm.providers {
+			sm.providers[j] = c.String(maxDictStringLen)
 		}
-		sm.rows = int(v)
-		if v, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		sm.welfordN = int(v)
-		if sm.welfordMean, b, err = readFloatBits(b); err != nil {
-			return err
-		}
-		if sm.welfordM2, b, err = readFloatBits(b); err != nil {
-			return err
-		}
-		if sm.welfordMin, b, err = readFloatBits(b); err != nil {
-			return err
-		}
-		if sm.welfordMax, b, err = readFloatBits(b); err != nil {
-			return err
-		}
-		var nprov uint64
-		if nprov, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		if nprov > maxDictStrings {
-			return fmt.Errorf("%w: %d providers", ErrCorrupt, nprov)
-		}
-		for j := uint64(0); j < nprov; j++ {
-			var s string
-			if s, b, err = readString(b); err != nil {
-				return err
-			}
-			sm.providers = append(sm.providers, s)
-		}
-		var nplat uint64
-		if nplat, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		if nplat > maxDictStrings {
-			return fmt.Errorf("%w: %d platforms", ErrCorrupt, nplat)
-		}
+		nplat := c.Count(maxDictStrings)
 		sm.platformRows = make(map[string]int, nplat)
-		for j := uint64(0); j < nplat; j++ {
-			var s string
-			if s, b, err = readString(b); err != nil {
-				return err
-			}
-			if v, b, err = readUvarint(b); err != nil {
-				return err
-			}
-			sm.platformRows[s] = int(v)
+		for j := 0; j < nplat; j++ {
+			plat := c.String(maxDictStringLen)
+			sm.platformRows[plat] = int(c.Uvarint())
 		}
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in meta block", ErrCorrupt, len(b))
-	}
-	return nil
+	return blockErr("meta block", c.End())
 }
 
-func (m *fileMeta) parsePeeringBlock(b []byte) error {
-	part, b, err := readUvarint(b)
-	if err != nil {
-		return err
-	}
-	if part >= uint64(m.partitions) {
+func (m *fileMeta) parsePeeringBlock(c *binfmt.Dec) error {
+	part := c.Uvarint()
+	if c.Err() == nil && part >= uint64(m.partitions) {
 		return fmt.Errorf("%w: peering partition %d of %d", ErrCorrupt, part, m.partitions)
 	}
-	nprov, b, err := readUvarint(b)
-	if err != nil {
-		return err
-	}
-	if nprov > maxDictStrings {
-		return fmt.Errorf("%w: %d peering providers", ErrCorrupt, nprov)
-	}
-	dst := m.peering[part]
-	for i := uint64(0); i < nprov; i++ {
-		var prov string
-		if prov, b, err = readString(b); err != nil {
-			return err
-		}
-		var ncl uint64
-		if ncl, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		if ncl > 256 {
-			return fmt.Errorf("%w: %d peering classes", ErrCorrupt, ncl)
-		}
+	for i, nprov := 0, c.Count(maxDictStrings); i < nprov && c.Err() == nil; i++ {
 		classes := map[pipeline.Class]int{}
-		for j := uint64(0); j < ncl; j++ {
-			var cl, n uint64
-			if cl, b, err = readUvarint(b); err != nil {
-				return err
-			}
-			if n, b, err = readUvarint(b); err != nil {
-				return err
-			}
+		prov := c.String(maxDictStringLen)
+		for j, ncl := 0, c.Count(256); j < ncl; j++ {
+			cl, n := c.Uvarint(), c.Uvarint()
 			if cl > 255 {
-				return fmt.Errorf("%w: peering class %d", ErrCorrupt, cl)
+				c.Fail(fmt.Errorf("%w: peering class %d", ErrCorrupt, cl))
 			}
 			classes[pipeline.Class(cl)] += int(n)
 		}
-		for cl, n := range classes {
-			cur := dst[prov]
-			if cur == nil {
-				cur = map[pipeline.Class]int{}
-				dst[prov] = cur
-			}
-			cur[cl] += n
-		}
+		store.FoldPeering(m.peering[part], map[string]map[pipeline.Class]int{prov: classes})
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in peering block", ErrCorrupt, len(b))
-	}
-	return nil
+	return blockErr("peering block", c.End())
 }
 
 // parseShard parses a shard file image: preamble, tail, footer and
@@ -413,180 +316,103 @@ func parseShard(data []byte) (*shardSeg, error) {
 	if string(tail[12:]) != tailMagic {
 		return nil, fmt.Errorf("%w: tail magic", ErrMagic)
 	}
-	if crc32Of(tail[:8]) != leUint32(tail[8:12]) {
+	if binfmt.Checksum(tail[:8]) != binary.LittleEndian.Uint32(tail[8:12]) {
 		return nil, fmt.Errorf("%w: tail", ErrCRC)
 	}
-	footerOff := leUint64(tail[:8])
+	footerOff := binary.LittleEndian.Uint64(tail[:8])
 	if footerOff > uint64(len(data)-tailSize) {
 		return nil, fmt.Errorf("%w: footer offset %d", ErrTruncated, footerOff)
 	}
-	kind, body, _, err := frameAt(data[:len(data)-tailSize], int(footerOff))
+	ss := &shardSeg{data: data, footerOff: int(footerOff)}
+	c, _, err := blockAt(ss.blocks(), ss.footerOff, BlockFooter)
 	if err != nil {
 		return nil, fmt.Errorf("footer: %w", err)
 	}
-	if kind != BlockFooter {
-		return nil, fmt.Errorf("%w: block at footer offset is %v", ErrCorrupt, kind)
-	}
-	ss := &shardSeg{data: data}
-	if err := ss.parseFooter(body, int(footerOff)); err != nil {
+	if err := ss.parseFooter(&c); err != nil {
 		return nil, err
 	}
 	return ss, nil
 }
 
-func (ss *shardSeg) parseFooter(b []byte, footerOff int) error {
-	dictOff, b, err := readUvarint(b)
-	if err != nil {
-		return err
+// blocks is the file image without its tail: the span frames live in.
+func (ss *shardSeg) blocks() []byte { return ss.data[:len(ss.data)-tailSize] }
+
+func (ss *shardSeg) parseFooter(c *binfmt.Dec) error {
+	dictOff := int(c.Uvarint())
+	if err := c.Err(); err != nil {
+		return blockErr("footer", err)
 	}
-	kind, dictBody, _, err := frameAt(ss.data[:len(ss.data)-tailSize], int(dictOff))
+	dc, dictEnd, err := blockAt(ss.blocks(), dictOff, BlockDict)
 	if err != nil {
 		return fmt.Errorf("dict: %w", err)
 	}
-	if kind != BlockDict {
-		return fmt.Errorf("%w: block at dict offset is %v", ErrCorrupt, kind)
+	ss.dictBytes = dictEnd - dictOff
+	ss.dict = make([]string, dc.Count(maxDictStrings))
+	for i := range ss.dict {
+		ss.dict[i] = dc.String(maxDictStringLen)
 	}
-	if err := ss.parseDict(dictBody); err != nil {
-		return err
+	if err := dc.End(); err != nil {
+		return blockErr("dict", err)
 	}
-	nparts, b, err := readUvarint(b)
-	if err != nil {
-		return err
+	ss.parts = make([]partZone, c.Count(maxShape))
+	if len(ss.parts) == 0 {
+		c.Fail(fmt.Errorf("%w: 0 partitions", ErrCorrupt))
 	}
-	if nparts == 0 || nparts > maxShape {
-		return fmt.Errorf("%w: %d partitions", ErrCorrupt, nparts)
-	}
-	ss.parts = make([]partZone, nparts)
 	for i := range ss.parts {
-		var rows uint64
-		var minC, maxC int64
-		if rows, b, err = readUvarint(b); err != nil {
-			return err
+		p := partZone{rows: int(c.Uvarint()), minCycle: int(c.Zigzag()), maxCycle: int(c.Zigzag())}
+		if p.rows > 0 && p.minCycle > p.maxCycle {
+			c.Fail(fmt.Errorf("%w: partition %d zone [%d, %d]", ErrCorrupt, i, p.minCycle, p.maxCycle))
 		}
-		if minC, b, err = readZigzag(b); err != nil {
-			return err
-		}
-		if maxC, b, err = readZigzag(b); err != nil {
-			return err
-		}
-		if rows > 0 && minC > maxC {
-			return fmt.Errorf("%w: partition %d zone [%d, %d]", ErrCorrupt, i, minC, maxC)
-		}
-		ss.parts[i] = partZone{rows: int(rows), minCycle: int(minC), maxCycle: int(maxC)}
+		ss.parts[i] = p
 	}
-	nentries, b, err := readUvarint(b)
-	if err != nil {
-		return err
-	}
-	if nentries > uint64(len(ss.data)) { // every entry indexes ≥1 distinct byte
-		return fmt.Errorf("%w: %d entries", ErrCorrupt, nentries)
-	}
+	nentries := c.Count(len(ss.data))
 	ss.entries = make([]entry, 0, nentries)
-	dataEnd := len(ss.data) - tailSize
-	for i := uint64(0); i < nentries; i++ {
-		var e entry
-		if len(b) < 2 {
-			return fmt.Errorf("%w: entry header", ErrTruncated)
+	for i := 0; i < nentries; i++ {
+		e := entry{kind: BlockKind(c.Byte()), dim: store.Dim(c.Byte())}
+		e.platformID, e.nameID = uint32(c.Uvarint()), uint32(c.Uvarint())
+		e.part, e.rows = int(c.Uvarint()), int(c.Uvarint())
+		e.minCycle, e.maxCycle = int(c.Zigzag()), int(c.Zigzag())
+		e.minRTT, e.maxRTT = c.Float64(), c.Float64()
+		e.offset, e.length = int(c.Uvarint()), int(c.Uvarint())
+		if err := c.Err(); err != nil {
+			return blockErr("footer", err)
 		}
-		e.kind, e.dim = BlockKind(b[0]), store.Dim(b[1])
-		b = b[2:]
-		if e.kind != BlockColumn && e.kind != BlockSketch {
-			return fmt.Errorf("%w: entry kind %v", ErrCorrupt, e.kind)
-		}
-		if e.dim != store.DimCountry && e.dim != store.DimContinent && e.dim != store.DimPair {
-			return fmt.Errorf("%w: entry dim %d", ErrCorrupt, e.dim)
-		}
-		var v uint64
-		if v, b, err = readUvarint(b); err != nil {
+		if err := ss.checkEntry(e); err != nil {
 			return err
-		}
-		e.platformID = uint32(v)
-		if v, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		e.nameID = uint32(v)
-		if e.platformID == 0 || int(e.platformID) > len(ss.dict) ||
-			e.nameID == 0 || int(e.nameID) > len(ss.dict) {
-			return fmt.Errorf("%w: entry dict ids %d/%d of %d", ErrCorrupt, e.platformID, e.nameID, len(ss.dict))
-		}
-		if v, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		if v >= uint64(len(ss.parts)) {
-			return fmt.Errorf("%w: entry partition %d", ErrCorrupt, v)
-		}
-		e.part = int(v)
-		if v, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		e.rows = int(v)
-		if e.rows == 0 {
-			return fmt.Errorf("%w: empty entry", ErrCorrupt)
-		}
-		if e.kind == BlockColumn && e.rows > MaxBlockRows {
-			return fmt.Errorf("%w: column entry rows %d", ErrCorrupt, e.rows)
-		}
-		var minC, maxC int64
-		if minC, b, err = readZigzag(b); err != nil {
-			return err
-		}
-		if maxC, b, err = readZigzag(b); err != nil {
-			return err
-		}
-		if minC > maxC {
-			return fmt.Errorf("%w: entry zone [%d, %d]", ErrCorrupt, minC, maxC)
-		}
-		e.minCycle, e.maxCycle = int(minC), int(maxC)
-		if e.minRTT, b, err = readFloatBits(b); err != nil {
-			return err
-		}
-		if e.maxRTT, b, err = readFloatBits(b); err != nil {
-			return err
-		}
-		if math.IsNaN(e.minRTT) || math.IsNaN(e.maxRTT) || e.minRTT > e.maxRTT {
-			return fmt.Errorf("%w: entry RTT zone", ErrCorrupt)
-		}
-		if v, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		e.offset = int(v)
-		if v, b, err = readUvarint(b); err != nil {
-			return err
-		}
-		e.length = int(v)
-		if e.offset < 0 || e.length <= 0 || e.offset+e.length > dataEnd || e.offset+e.length < e.offset {
-			return fmt.Errorf("%w: entry span [%d, +%d)", ErrCorrupt, e.offset, e.length)
-		}
-		if e.offset+e.length > footerOff && e.offset < footerOff {
-			return fmt.Errorf("%w: entry overlaps footer", ErrCorrupt)
 		}
 		ss.entries = append(ss.entries, e)
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in footer", ErrCorrupt, len(b))
+	if err := c.End(); err != nil {
+		return blockErr("footer", err)
 	}
 	ss.buildIndex()
 	return nil
 }
 
-func (ss *shardSeg) parseDict(b []byte) error {
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return err
-	}
-	if n > maxDictStrings {
-		return fmt.Errorf("%w: %d dict strings", ErrCorrupt, n)
-	}
-	ss.dict = make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var s string
-		if s, b, err = readString(b); err != nil {
-			return err
-		}
-		ss.dict = append(ss.dict, s)
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in dict", ErrCorrupt, len(b))
+// checkEntry validates one footer entry against the dictionary, the
+// partition table and the file's extent; nil means the entry may be
+// indexed and its block read.
+func (ss *shardSeg) checkEntry(e entry) error {
+	end := e.offset + e.length
+	switch {
+	case e.kind != BlockColumn && e.kind != BlockSketch:
+		return fmt.Errorf("%w: entry kind %v", ErrCorrupt, e.kind)
+	case e.dim != store.DimCountry && e.dim != store.DimContinent && e.dim != store.DimPair:
+		return fmt.Errorf("%w: entry dim %d", ErrCorrupt, e.dim)
+	case e.platformID == 0 || int(e.platformID) > len(ss.dict) || e.nameID == 0 || int(e.nameID) > len(ss.dict):
+		return fmt.Errorf("%w: entry dict ids %d/%d of %d", ErrCorrupt, e.platformID, e.nameID, len(ss.dict))
+	case e.part < 0 || e.part >= len(ss.parts):
+		return fmt.Errorf("%w: entry partition %d", ErrCorrupt, e.part)
+	case e.rows <= 0 || (e.kind == BlockColumn && e.rows > MaxBlockRows):
+		return fmt.Errorf("%w: %v entry rows %d", ErrCorrupt, e.kind, e.rows)
+	case e.minCycle > e.maxCycle:
+		return fmt.Errorf("%w: entry zone [%d, %d]", ErrCorrupt, e.minCycle, e.maxCycle)
+	case math.IsNaN(e.minRTT) || math.IsNaN(e.maxRTT) || e.minRTT > e.maxRTT:
+		return fmt.Errorf("%w: entry RTT zone", ErrCorrupt)
+	case e.offset < 0 || e.length <= 0 || end < e.offset || end > len(ss.blocks()):
+		return fmt.Errorf("%w: entry span [%d, +%d)", ErrCorrupt, e.offset, e.length)
+	case end > ss.footerOff && e.offset < ss.footerOff:
+		return fmt.Errorf("%w: entry overlaps footer", ErrCorrupt)
 	}
 	return nil
 }
@@ -637,53 +463,33 @@ func sortEntries(es []entry) {
 // data escapes its advertised ranges is a zone-map lie, not valid
 // data.
 func (ss *shardSeg) readColumn(e entry) ([]float64, []int32, error) {
-	kind, body, _, err := frameAt(ss.data[:e.offset+e.length], e.offset)
+	c, _, err := blockAt(ss.data[:e.offset+e.length], e.offset, BlockColumn)
 	if err != nil {
 		return nil, nil, err
 	}
-	if kind != BlockColumn {
-		return nil, nil, fmt.Errorf("%w: entry points at %v block", ErrCorrupt, kind)
+	rows, enc := c.Count(MaxBlockRows), c.Byte()
+	if c.Err() == nil && rows != e.rows {
+		c.Fail(fmt.Errorf("%w: block rows %d, entry says %d", ErrCorrupt, rows, e.rows))
 	}
-	rows, body, err := readUvarint(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rows == 0 || rows > MaxBlockRows || int(rows) != e.rows {
-		return nil, nil, fmt.Errorf("%w: block rows %d, entry says %d", ErrCorrupt, rows, e.rows)
-	}
-	if len(body) == 0 {
-		return nil, nil, ErrTruncated
-	}
-	enc := body[0]
-	body = body[1:]
-	rtt := make([]float64, rows)
+	rtt, cycle := make([]float64, rows), make([]int32, rows)
 	switch enc {
-	case 1: // raw
-		for i := range rtt {
-			if rtt[i], body, err = readFloatBits(body); err != nil {
-				return nil, nil, err
-			}
-		}
-	case 0: // bit-delta
-		if len(body) < 8 {
-			return nil, nil, ErrTruncated
-		}
-		bits := leUint64(body)
-		body = body[8:]
-		rtt[0] = math.Float64frombits(bits)
-		for i := uint64(1); i < rows; i++ {
-			var d uint64
-			if d, body, err = readUvarint(body); err != nil {
-				return nil, nil, err
-			}
-			if bits > math.MaxUint64-d {
-				return nil, nil, fmt.Errorf("%w: RTT bits overflow", ErrCorrupt)
-			}
-			bits += d
-			rtt[i] = math.Float64frombits(bits)
-		}
+	case colDelta:
+		c.FloatDeltas(rtt)
+	case colRaw:
+		c.Floats(rtt)
 	default:
-		return nil, nil, fmt.Errorf("%w: RTT encoding %d", ErrCorrupt, enc)
+		c.Fail(fmt.Errorf("%w: RTT encoding %d", ErrCorrupt, enc))
+	}
+	var cur int64
+	for i := range cycle {
+		cur += c.Zigzag()
+		if (cur < int64(e.minCycle) || cur > int64(e.maxCycle)) && c.Err() == nil {
+			c.Fail(fmt.Errorf("%w: cycle %d outside entry [%d, %d]", ErrZoneMap, cur, e.minCycle, e.maxCycle))
+		}
+		cycle[i] = int32(cur)
+	}
+	if err := c.End(); err != nil {
+		return nil, nil, blockErr("column block", err)
 	}
 	prev := math.Inf(-1)
 	for _, x := range rtt {
@@ -696,41 +502,17 @@ func (ss *shardSeg) readColumn(e entry) ([]float64, []int32, error) {
 		return nil, nil, fmt.Errorf("%w: RTT range [%g, %g] outside entry [%g, %g]",
 			ErrZoneMap, rtt[0], rtt[rows-1], e.minRTT, e.maxRTT)
 	}
-	cycle := make([]int32, rows)
-	var cur int64
-	for i := range cycle {
-		var d int64
-		if d, body, err = readZigzag(body); err != nil {
-			return nil, nil, err
-		}
-		if i == 0 {
-			cur = d
-		} else {
-			cur += d
-		}
-		if cur < int64(e.minCycle) || cur > int64(e.maxCycle) {
-			return nil, nil, fmt.Errorf("%w: cycle %d outside entry [%d, %d]",
-				ErrZoneMap, cur, e.minCycle, e.maxCycle)
-		}
-		cycle[i] = int32(cur)
-	}
-	if len(body) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes in column block", ErrCorrupt, len(body))
-	}
 	return rtt, cycle, nil
 }
 
 // readSketch decodes one sketch block, cross-checking its count
 // against the footer entry.
 func (ss *shardSeg) readSketch(e entry) (*sketch.Sketch, error) {
-	kind, body, _, err := frameAt(ss.data[:e.offset+e.length], e.offset)
+	c, _, err := blockAt(ss.data[:e.offset+e.length], e.offset, BlockSketch)
 	if err != nil {
 		return nil, err
 	}
-	if kind != BlockSketch {
-		return nil, fmt.Errorf("%w: entry points at %v block", ErrCorrupt, kind)
-	}
-	sk, rest, err := sketch.Decode(body)
+	sk, rest, err := sketch.Decode(c.Rest())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -746,26 +528,30 @@ func (ss *shardSeg) readSketch(e entry) (*sketch.Sketch, error) {
 	return sk, nil
 }
 
-func leUint32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+// Usage is where a segment's bytes go, framing included: per block
+// kind and, for column and sketch blocks, per query dimension. A file's
+// preamble counts towards its meta or footer block and a shard's tail
+// towards its footer, so the kinds of a directory sum to its size.
+type Usage struct {
+	ByKind [BlockFooter + 1]int64
+	ByDim  [store.DimPair + 1]int64
 }
 
-func leUint64(b []byte) uint64 {
-	return uint64(leUint32(b)) | uint64(leUint32(b[4:]))<<32
+// AddMeta fully validates a meta file image and adds its bytes to u.
+func (u *Usage) AddMeta(data []byte) error {
+	m, err := parseMeta(data)
+	if err != nil {
+		return err
+	}
+	u.ByKind[BlockMeta] += int64(m.metaBytes)
+	u.ByKind[BlockPeering] += int64(len(data) - m.metaBytes)
+	return nil
 }
 
-// CheckMeta fully validates a meta file image — the fuzzing entry
-// point for the meta format.
-func CheckMeta(data []byte) error {
-	_, err := parseMeta(data)
-	return err
-}
-
-// CheckShard fully validates a shard file image: structure, CRCs,
+// AddShard fully validates a shard file image — structure, CRCs,
 // dictionary, footer index, and every indexed block decoded with its
-// zone maps cross-checked. It is the fuzzing entry point and the
-// integrity pass of `cloudy segment -check`.
-func CheckShard(data []byte) error {
+// zone maps cross-checked — and adds its bytes to u.
+func (u *Usage) AddShard(data []byte) error {
 	ss, err := parseShard(data)
 	if err != nil {
 		return err
@@ -773,18 +559,29 @@ func CheckShard(data []byte) error {
 	for _, e := range ss.entries {
 		switch e.kind {
 		case BlockColumn:
-			if _, _, err := ss.readColumn(e); err != nil {
-				return err
-			}
+			_, _, err = ss.readColumn(e)
 		case BlockSketch:
-			if _, err := ss.readSketch(e); err != nil {
-				return err
-			}
+			_, err = ss.readSketch(e)
 		case BlockMeta, BlockDict, BlockPeering, BlockFooter:
-			return fmt.Errorf("%w: entry kind %v", ErrCorrupt, e.kind)
+			err = fmt.Errorf("%w: entry kind %v", ErrCorrupt, e.kind)
 		default:
-			return fmt.Errorf("%w: unknown entry kind %v", ErrCorrupt, e.kind)
+			err = fmt.Errorf("%w: unknown entry kind %v", ErrCorrupt, e.kind)
 		}
+		if err != nil {
+			return err
+		}
+		u.ByKind[e.kind] += int64(e.length)
+		u.ByDim[e.dim] += int64(e.length)
 	}
+	u.ByKind[BlockDict] += int64(ss.dictBytes)
+	u.ByKind[BlockFooter] += int64(len(Magic) + 1 + len(data) - ss.footerOff)
 	return nil
 }
+
+// CheckMeta fully validates a meta file image — the fuzzing entry
+// point for the meta format.
+func CheckMeta(data []byte) error { return new(Usage).AddMeta(data) }
+
+// CheckShard is the fuzzing entry point for the shard format and the
+// integrity pass of `cloudy segment -check`; see Usage.AddShard.
+func CheckShard(data []byte) error { return new(Usage).AddShard(data) }

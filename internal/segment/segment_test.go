@@ -278,3 +278,48 @@ func TestZoneMapLieDetected(t *testing.T) {
 		t.Fatalf("RTT zone lie: got %v, want ErrZoneMap", err)
 	}
 }
+
+// TestUsageAccountsForEveryByte pins the -check breakdown: the block
+// kinds of a directory sum to its size, and the dimensions to its
+// column and sketch blocks.
+func TestUsageAccountsForEveryByte(t *testing.T) {
+	st := buildStore(t, 4, 4, 16, 3)
+	dir := t.TempDir()
+	if err := Write(dir, st); err != nil {
+		t.Fatal(err)
+	}
+	var u Usage
+	var size int64
+	for i := -1; i < 4; i++ {
+		name, add := MetaFile, u.AddMeta
+		if i >= 0 {
+			name, add = ShardFile(i), u.AddShard
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := add(raw); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		size += int64(len(raw))
+	}
+	var kinds, dims int64
+	for _, n := range u.ByKind {
+		kinds += n
+	}
+	for _, n := range u.ByDim {
+		dims += n
+	}
+	if kinds != size {
+		t.Errorf("block kinds sum to %d bytes, files hold %d", kinds, size)
+	}
+	if want := u.ByKind[BlockColumn] + u.ByKind[BlockSketch]; dims != want || dims == 0 {
+		t.Errorf("dimensions sum to %d bytes, column+sketch blocks to %d", dims, want)
+	}
+	for kind := BlockMeta; kind <= BlockFooter; kind++ {
+		if u.ByKind[kind] == 0 {
+			t.Errorf("no bytes accounted to %v blocks", kind)
+		}
+	}
+}

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"repro/internal/binfmt"
 	"repro/internal/pipeline"
 	"repro/internal/sketch"
 	"repro/internal/stats"
@@ -87,17 +87,16 @@ type metaWriter struct {
 }
 
 func (mw *metaWriter) addShard(rows int, providers []string, platformRows map[string]int, rtt *stats.Welford) {
-	b := mw.shards
-	b = binary.AppendUvarint(b, uint64(rows))
+	b := binary.AppendUvarint(mw.shards, uint64(rows))
 	n, mean, m2, min, max := rtt.Moments()
 	b = binary.AppendUvarint(b, uint64(n))
-	b = appendFloatBits(b, mean)
-	b = appendFloatBits(b, m2)
-	b = appendFloatBits(b, min)
-	b = appendFloatBits(b, max)
+	b = binfmt.AppendFloat64(b, mean)
+	b = binfmt.AppendFloat64(b, m2)
+	b = binfmt.AppendFloat64(b, min)
+	b = binfmt.AppendFloat64(b, max)
 	b = binary.AppendUvarint(b, uint64(len(providers)))
 	for _, p := range providers {
-		b = appendString(b, p)
+		b = binfmt.AppendString(b, p)
 	}
 	plats := make([]string, 0, len(platformRows))
 	for p := range platformRows {
@@ -106,14 +105,14 @@ func (mw *metaWriter) addShard(rows int, providers []string, platformRows map[st
 	sort.Strings(plats)
 	b = binary.AppendUvarint(b, uint64(len(plats)))
 	for _, p := range plats {
-		b = appendString(b, p)
+		b = binfmt.AppendString(b, p)
 		b = binary.AppendUvarint(b, uint64(platformRows[p]))
 	}
 	mw.shards = b
 }
 
 func (mw *metaWriter) addPeering(part int, counts map[string]map[pipeline.Class]int) {
-	body := binary.AppendUvarint(nil, uint64(part))
+	body := binary.AppendUvarint([]byte{byte(BlockPeering)}, uint64(part))
 	provs := make([]string, 0, len(counts))
 	for p := range counts {
 		provs = append(provs, p)
@@ -121,7 +120,7 @@ func (mw *metaWriter) addPeering(part int, counts map[string]map[pipeline.Class]
 	sort.Strings(provs)
 	body = binary.AppendUvarint(body, uint64(len(provs)))
 	for _, p := range provs {
-		body = appendString(body, p)
+		body = binfmt.AppendString(body, p)
 		classes := make([]int, 0, len(counts[p]))
 		for cl := range counts[p] {
 			classes = append(classes, int(cl))
@@ -133,21 +132,21 @@ func (mw *metaWriter) addPeering(part int, counts map[string]map[pipeline.Class]
 			body = binary.AppendUvarint(body, uint64(counts[p][pipeline.Class(cl)]))
 		}
 	}
-	mw.peering = appendFrame(mw.peering, BlockPeering, body)
+	mw.peering = binfmt.AppendFrame(mw.peering, body)
 }
 
 func (mw *metaWriter) finish() []byte {
-	body := binary.AppendUvarint(nil, uint64(mw.summary.Shards))
+	body := binary.AppendUvarint([]byte{byte(BlockMeta)}, uint64(mw.summary.Shards))
 	body = binary.AppendUvarint(body, uint64(mw.summary.Partitions))
 	body = binary.AppendUvarint(body, uint64(mw.summary.Cycles))
 	body = binary.AppendUvarint(body, uint64(mw.summary.Rows))
 	for _, w := range mw.windows {
-		body = appendZigzag(body, int64(w.From))
-		body = appendZigzag(body, int64(w.To))
+		body = binfmt.AppendZigzag(body, int64(w.From))
+		body = binfmt.AppendZigzag(body, int64(w.To))
 	}
 	body = append(body, mw.shards...)
 	out := append([]byte(Magic), FormatVersion)
-	out = appendFrame(out, BlockMeta, body)
+	out = binfmt.AppendFrame(out, body)
 	return append(out, mw.peering...)
 }
 
@@ -234,7 +233,7 @@ func (sw *shardWriter) addGroup(part int, dim store.Dim, platform, name string, 
 			groupMax = maxC
 		}
 		offset := len(sw.buf)
-		sw.buf = appendFrame(sw.buf, BlockColumn, encodeColumn(blkRTT, blkCyc))
+		sw.buf = binfmt.AppendFrame(sw.buf, encodeColumn(blkRTT, blkCyc))
 		sw.entries = append(sw.entries, entry{
 			kind: BlockColumn, dim: dim, platformID: pid, nameID: nid,
 			part: part, rows: end - i, minCycle: minC, maxCycle: maxC,
@@ -247,7 +246,7 @@ func (sw *shardWriter) addGroup(part int, dim store.Dim, platform, name string, 
 		sk.Add(x)
 	}
 	offset := len(sw.buf)
-	sw.buf = appendFrame(sw.buf, BlockSketch, sk.AppendBinary(nil))
+	sw.buf = binfmt.AppendFrame(sw.buf, sk.AppendBinary([]byte{byte(BlockSketch)}))
 	sw.entries = append(sw.entries, entry{
 		kind: BlockSketch, dim: dim, platformID: pid, nameID: nid,
 		part: part, rows: len(rtt), minCycle: groupMin, maxCycle: groupMax,
@@ -256,42 +255,27 @@ func (sw *shardWriter) addGroup(part int, dim store.Dim, platform, name string, 
 	})
 }
 
-// encodeColumn serializes one block's RTT and cycle columns. RTTs come
-// in sorted ascending; when their IEEE-754 bit patterns are monotone
-// (always true for non-negative values) they delta-code as uvarints,
-// otherwise a flag switches the whole block to raw 8-byte values.
+// RTT column encodings: the flag byte after a column block's row count.
+const (
+	colDelta = 0 // binfmt.AppendFloatDeltas
+	colRaw   = 1 // binfmt.AppendFloats
+)
+
+// encodeColumn serializes one column block's payload: kind, row count,
+// the RTTs and the cycles. RTTs come in sorted ascending; when their
+// bit patterns are monotone (always true for non-negative values) they
+// delta-code, otherwise a flag switches the whole block to raw values.
 func encodeColumn(rtt []float64, cycle []int32) []byte {
-	body := binary.AppendUvarint(nil, uint64(len(rtt)))
-	raw := false
-	prev := math.Float64bits(rtt[0])
-	for _, x := range rtt[1:] {
-		bits := math.Float64bits(x)
-		if bits < prev {
-			raw = true
-			break
-		}
-		prev = bits
-	}
-	if raw {
-		body = append(body, 1)
-		for _, x := range rtt {
-			body = appendFloatBits(body, x)
-		}
+	body := binary.AppendUvarint([]byte{byte(BlockColumn)}, uint64(len(rtt)))
+	if binfmt.MonotoneBits(rtt) {
+		body = binfmt.AppendFloatDeltas(append(body, colDelta), rtt)
 	} else {
-		body = append(body, 0)
-		prev = math.Float64bits(rtt[0])
-		body = binary.LittleEndian.AppendUint64(body, prev)
-		for _, x := range rtt[1:] {
-			bits := math.Float64bits(x)
-			body = binary.AppendUvarint(body, bits-prev)
-			prev = bits
-		}
+		body = binfmt.AppendFloats(append(body, colRaw), rtt)
 	}
-	prevC := int64(cycle[0])
-	body = appendZigzag(body, prevC)
-	for _, c := range cycle[1:] {
-		body = appendZigzag(body, int64(c)-prevC)
-		prevC = int64(c)
+	prev := int64(0)
+	for _, c := range cycle {
+		body = binfmt.AppendZigzag(body, int64(c)-prev)
+		prev = int64(c)
 	}
 	return body
 }
@@ -299,19 +283,19 @@ func encodeColumn(rtt []float64, cycle []int32) []byte {
 // finish writes the dictionary, footer and tail, returning the
 // complete file image.
 func (sw *shardWriter) finish() []byte {
-	dictBody := binary.AppendUvarint(nil, uint64(len(sw.dict)))
+	dict := binary.AppendUvarint([]byte{byte(BlockDict)}, uint64(len(sw.dict)))
 	for _, s := range sw.dict {
-		dictBody = appendString(dictBody, s)
+		dict = binfmt.AppendString(dict, s)
 	}
 	dictOffset := len(sw.buf)
-	sw.buf = appendFrame(sw.buf, BlockDict, dictBody)
+	sw.buf = binfmt.AppendFrame(sw.buf, dict)
 
-	footer := binary.AppendUvarint(nil, uint64(dictOffset))
+	footer := binary.AppendUvarint([]byte{byte(BlockFooter)}, uint64(dictOffset))
 	footer = binary.AppendUvarint(footer, uint64(len(sw.parts)))
 	for _, p := range sw.parts {
 		footer = binary.AppendUvarint(footer, uint64(p.rows))
-		footer = appendZigzag(footer, int64(p.minCycle))
-		footer = appendZigzag(footer, int64(p.maxCycle))
+		footer = binfmt.AppendZigzag(footer, int64(p.minCycle))
+		footer = binfmt.AppendZigzag(footer, int64(p.maxCycle))
 	}
 	footer = binary.AppendUvarint(footer, uint64(len(sw.entries)))
 	for _, e := range sw.entries {
@@ -320,19 +304,17 @@ func (sw *shardWriter) finish() []byte {
 		footer = binary.AppendUvarint(footer, uint64(e.nameID))
 		footer = binary.AppendUvarint(footer, uint64(e.part))
 		footer = binary.AppendUvarint(footer, uint64(e.rows))
-		footer = appendZigzag(footer, int64(e.minCycle))
-		footer = appendZigzag(footer, int64(e.maxCycle))
-		footer = appendFloatBits(footer, e.minRTT)
-		footer = appendFloatBits(footer, e.maxRTT)
+		footer = binfmt.AppendZigzag(footer, int64(e.minCycle))
+		footer = binfmt.AppendZigzag(footer, int64(e.maxCycle))
+		footer = binfmt.AppendFloat64(footer, e.minRTT)
+		footer = binfmt.AppendFloat64(footer, e.maxRTT)
 		footer = binary.AppendUvarint(footer, uint64(e.offset))
 		footer = binary.AppendUvarint(footer, uint64(e.length))
 	}
 	footerOffset := len(sw.buf)
-	sw.buf = appendFrame(sw.buf, BlockFooter, footer)
+	sw.buf = binfmt.AppendFrame(sw.buf, footer)
 
 	tail := binary.LittleEndian.AppendUint64(nil, uint64(footerOffset))
-	crc := crc32Of(tail)
-	tail = binary.LittleEndian.AppendUint32(tail, crc)
-	tail = append(tail, tailMagic...)
-	return append(sw.buf, tail...)
+	tail = binary.LittleEndian.AppendUint32(tail, binfmt.Checksum(tail))
+	return append(append(sw.buf, tail...), tailMagic...)
 }

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/binfmt"
 )
 
 // DefaultCompression is the δ used by the segment writer: ~2δ centroid
@@ -307,10 +309,9 @@ func lerp(x0, y0, x1, y1, x float64) float64 {
 //	uvarint ncentroids
 //	8 bytes min (IEEE-754 bits, LE)    — only when count > 0
 //	8 bytes max (IEEE-754 bits, LE)    — only when count > 0
-//	means   first mean raw 8 bytes, then uvarint deltas of the float
-//	        bit patterns (sorted ascending positive floats have
-//	        monotonically increasing bits); raw 8-byte means when the
-//	        flag is set (any non-positive or non-finite mean)
+//	means   binfmt's sorted-float column: bit-pattern deltas, or raw
+//	        8-byte means when the flag is set (any non-positive or
+//	        non-finite mean)
 //	weights uvarint each
 
 const sketchVersion = 1
@@ -325,16 +326,12 @@ var ErrCorrupt = errors.New("sketch: corrupt payload")
 // bytes.
 func (s *Sketch) AppendBinary(dst []byte) []byte {
 	s.flush()
-	raw := false
+	flags := byte(0)
 	for _, m := range s.means {
 		if !(m > 0) || math.IsInf(m, 0) {
-			raw = true
+			flags = flagRawMeans
 			break
 		}
-	}
-	flags := byte(0)
-	if raw {
-		flags |= flagRawMeans
 	}
 	dst = append(dst, sketchVersion, flags)
 	dst = binary.AppendUvarint(dst, uint64(s.compression))
@@ -343,23 +340,12 @@ func (s *Sketch) AppendBinary(dst []byte) []byte {
 	if s.count == 0 {
 		return dst
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.min))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.max))
-	if raw {
-		for _, m := range s.means {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m))
-		}
+	dst = binfmt.AppendFloat64(dst, s.min)
+	dst = binfmt.AppendFloat64(dst, s.max)
+	if flags == flagRawMeans {
+		dst = binfmt.AppendFloats(dst, s.means)
 	} else {
-		prev := uint64(0)
-		for i, m := range s.means {
-			bits := math.Float64bits(m)
-			if i == 0 {
-				dst = binary.LittleEndian.AppendUint64(dst, bits)
-			} else {
-				dst = binary.AppendUvarint(dst, bits-prev)
-			}
-			prev = bits
-		}
+		dst = binfmt.AppendFloatDeltas(dst, s.means)
 	}
 	for _, w := range s.weights {
 		dst = binary.AppendUvarint(dst, w)
@@ -371,119 +357,75 @@ func (s *Sketch) AppendBinary(dst []byte) []byte {
 // the sketch and the unconsumed remainder. Every structural invariant
 // is validated — a decoded sketch is safe to merge and query.
 func Decode(b []byte) (*Sketch, []byte, error) {
-	if len(b) < 2 {
-		return nil, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	d := binfmt.NewDec(b)
+	version, flags := d.Byte(), d.Byte()
+	compression, count := d.Uvarint(), d.Uvarint()
+	// Count also refuses an n the remaining bytes cannot hold (a centroid
+	// costs at least two), so the slices below are sized by the input.
+	n := d.Count(maxCentroids)
+	switch { // Fail keeps an earlier cursor failure, whose zero reads land here
+	case version != sketchVersion:
+		d.Fail(fmt.Errorf("version %d", version))
+	case flags&^flagRawMeans != 0:
+		d.Fail(fmt.Errorf("unknown flags %#x", flags))
+	case compression < minCompression || compression > maxCompression:
+		d.Fail(fmt.Errorf("compression %d out of range", compression))
+	case (count == 0) != (n == 0):
+		d.Fail(fmt.Errorf("count %d with %d centroids", count, n))
 	}
-	if b[0] != sketchVersion {
-		return nil, nil, fmt.Errorf("%w: version %d", ErrCorrupt, b[0])
-	}
-	flags := b[1]
-	if flags&^flagRawMeans != 0 {
-		return nil, nil, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags)
-	}
-	b = b[2:]
-	compression, b, err := readUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if compression < minCompression || compression > maxCompression {
-		return nil, nil, fmt.Errorf("%w: compression %d out of range", ErrCorrupt, compression)
-	}
-	count, b, err := readUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > maxCentroids {
-		return nil, nil, fmt.Errorf("%w: %d centroids exceeds limit", ErrCorrupt, n)
-	}
-	if (count == 0) != (n == 0) {
-		return nil, nil, fmt.Errorf("%w: count %d with %d centroids", ErrCorrupt, count, n)
+	if err := d.Err(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	s := New(int(compression))
 	if count == 0 {
-		return s, b, nil
+		return s, d.Rest(), nil
 	}
-	if len(b) < 16 {
-		return nil, nil, fmt.Errorf("%w: truncated min/max", ErrCorrupt)
-	}
-	s.min = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	s.max = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	b = b[16:]
-	if math.IsNaN(s.min) || math.IsInf(s.min, 0) || math.IsNaN(s.max) || math.IsInf(s.max, 0) || s.min > s.max {
-		return nil, nil, fmt.Errorf("%w: bad min/max", ErrCorrupt)
-	}
-	s.means = make([]float64, n)
+	s.count, s.min, s.max = count, d.Float64(), d.Float64()
+	s.means, s.weights = make([]float64, n), make([]uint64, n)
 	if flags&flagRawMeans != 0 {
-		if uint64(len(b)) < 8*n {
-			return nil, nil, fmt.Errorf("%w: truncated means", ErrCorrupt)
-		}
-		for i := range s.means {
-			s.means[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-			b = b[8:]
-		}
+		d.Floats(s.means)
 	} else {
-		if len(b) < 8 {
-			return nil, nil, fmt.Errorf("%w: truncated means", ErrCorrupt)
-		}
-		bits := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		s.means[0] = math.Float64frombits(bits)
-		for i := uint64(1); i < n; i++ {
-			var d uint64
-			d, b, err = readUvarint(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			next, carry := bits+d, bits > math.MaxUint64-d
-			if carry {
-				return nil, nil, fmt.Errorf("%w: mean bits overflow", ErrCorrupt)
-			}
-			bits = next
-			s.means[i] = math.Float64frombits(bits)
-		}
+		d.FloatDeltas(s.means)
 	}
-	var sum uint64
-	for i := uint64(0); i < n; i++ {
-		var w uint64
-		w, b, err = readUvarint(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		if w == 0 {
-			return nil, nil, fmt.Errorf("%w: zero centroid weight", ErrCorrupt)
-		}
-		if w > math.MaxUint64-sum {
-			return nil, nil, fmt.Errorf("%w: weight overflow", ErrCorrupt)
-		}
-		sum += w
-		s.weights = append(s.weights, w)
+	for i := range s.weights {
+		s.weights[i] = d.Uvarint()
 	}
-	if sum != count {
-		return nil, nil, fmt.Errorf("%w: weights sum %d, count %d", ErrCorrupt, sum, count)
+	d.Fail(s.validate()) // kept only if the cursor itself did not fail
+	if err := d.Err(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	for i := range s.means {
-		if math.IsNaN(s.means[i]) || math.IsInf(s.means[i], 0) {
-			return nil, nil, fmt.Errorf("%w: non-finite mean", ErrCorrupt)
-		}
-		if i > 0 && s.means[i] < s.means[i-1] {
-			return nil, nil, fmt.Errorf("%w: means not sorted", ErrCorrupt)
-		}
-	}
-	if s.means[0] < s.min || s.means[n-1] > s.max {
-		return nil, nil, fmt.Errorf("%w: means escape [min, max]", ErrCorrupt)
-	}
-	s.count = count
-	return s, b, nil
+	return s, d.Rest(), nil
 }
 
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("%w: truncated varint", ErrCorrupt)
+// validate checks the invariants Merge and Quantile rely on, on a
+// sketch whose fields came off the wire.
+func (s *Sketch) validate() error {
+	if math.IsNaN(s.min) || math.IsInf(s.min, 0) || math.IsNaN(s.max) || math.IsInf(s.max, 0) || s.min > s.max {
+		return errors.New("bad min/max")
 	}
-	return v, b[n:], nil
+	var sum uint64
+	for _, w := range s.weights {
+		if w == 0 {
+			return errors.New("zero centroid weight")
+		}
+		if w > math.MaxUint64-sum {
+			return errors.New("weight overflow")
+		}
+		sum += w
+	}
+	if sum != s.count {
+		return fmt.Errorf("weights sum %d, count %d", sum, s.count)
+	}
+	for i, m := range s.means {
+		if math.IsNaN(m) || math.IsInf(m, 0) {
+			return errors.New("non-finite mean")
+		}
+		if i > 0 && m < s.means[i-1] {
+			return errors.New("means not sorted")
+		}
+	}
+	if s.means[0] < s.min || s.means[len(s.means)-1] > s.max {
+		return errors.New("means escape [min, max]")
+	}
+	return nil
 }

@@ -1,9 +1,12 @@
 package sketch
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -245,5 +248,23 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	bad[0] = 99
 	if _, _, err := Decode(bad); err == nil {
 		t.Fatal("bad version accepted")
+	}
+	// A centroid count the payload cannot hold must be refused before
+	// anything is sized by it: a 20-byte block claiming 2^20 centroids
+	// used to cost 8 MiB of means.
+	huge := []byte{sketchVersion, 0}
+	huge = binary.AppendUvarint(huge, DefaultCompression)
+	huge = binary.AppendUvarint(huge, 1<<20) // count
+	huge = binary.AppendUvarint(huge, 1<<20) // centroids
+	huge = append(huge, make([]byte, 20)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Decode(huge)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("oversized centroid count: %v, want ErrCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("refusing a %d-byte payload allocated %d bytes", len(huge), grew)
 	}
 }

@@ -93,17 +93,7 @@ func (f *Feed) Len() (int, int) { return f.pings, f.traces }
 // batch adapter path, where traces were already classified and the
 // time axis is gone; the tallies land in the first partition.
 func (f *Feed) AddPeeringCounts(counts map[string]map[pipeline.Class]int) {
-	part := f.counts[0]
-	for prov, classes := range counts {
-		dst := part[prov]
-		if dst == nil {
-			dst = map[pipeline.Class]int{}
-			part[prov] = dst
-		}
-		for cl, n := range classes {
-			dst[cl] += n
-		}
-	}
+	FoldPeering(f.counts[0], counts)
 }
 
 // Seal finalizes both nearest-DC assignments and freezes everything

@@ -86,14 +86,18 @@ func (s *Store) ContinentSamples(platform string) map[geo.Continent][]float64 {
 // ContinentSamplesWindow is ContinentSamples restricted to a cycle
 // window.
 func (s *Store) ContinentSamplesWindow(platform string, w Window) map[geo.Continent][]float64 {
-	byName := s.gather(dimContinent, w, platform)
+	return ByContinent(s.gather(dimContinent, w, platform))
+}
+
+// ByContinent rekeys continent-dimension groups from their
+// Continent.String() names to geo.Continent, dropping names that do
+// not parse. Shared with the segment reader's exact path.
+func ByContinent(byName map[string][]float64) map[geo.Continent][]float64 {
 	out := make(map[geo.Continent][]float64, len(byName))
 	for name, xs := range byName {
-		cont, err := geo.ParseContinent(name)
-		if err != nil {
-			continue
+		if cont, err := geo.ParseContinent(name); err == nil {
+			out[cont] = xs
 		}
-		out[cont] = xs
 	}
 	return out
 }
@@ -136,29 +140,40 @@ func (s *Store) PeeringShares() []analysis.InterconnectShare {
 	return s.PeeringSharesWindow(Window{})
 }
 
-// PeeringSharesWindow is PeeringShares restricted to a cycle window:
-// tallies from partitions overlapping the window sum by addition.
-// Peering tallies are kept at partition granularity (traces are folded
-// in as their partition's window closes), so a window cutting through
-// a partition includes that whole partition's tallies.
+// PeeringSharesWindow is PeeringShares restricted to a cycle window.
 func (s *Store) PeeringSharesWindow(w Window) []analysis.InterconnectShare {
+	return PeeringSharesIn(s.peering, s.partWindows, w)
+}
+
+// PeeringSharesIn answers the Figure 10 query from per-partition
+// tallies (windows[i] is the cycle window parts[i] covers): tallies
+// from partitions overlapping w sum by addition. Peering tallies are
+// kept at partition granularity (traces are folded in as their
+// partition's window closes), so a window cutting through a partition
+// includes that whole partition's tallies. Shared with the segment
+// reader, whose meta file carries the same two slices.
+func PeeringSharesIn(parts []map[string]map[pipeline.Class]int, windows []Window, w Window) []analysis.InterconnectShare {
 	merged := map[string]map[pipeline.Class]int{}
-	for i, part := range s.peering {
-		if !s.partWindows[i].OverlapsWindow(w) {
-			continue
-		}
-		for prov, classes := range part {
-			dst := merged[prov]
-			if dst == nil {
-				dst = map[pipeline.Class]int{}
-				merged[prov] = dst
-			}
-			for cl, n := range classes {
-				dst[cl] += n
-			}
+	for i, part := range parts {
+		if windows[i].OverlapsWindow(w) {
+			FoldPeering(merged, part)
 		}
 	}
 	return analysis.InterconnectionsFromCounts(merged)
+}
+
+// FoldPeering adds src's per-provider interconnection tallies into dst.
+func FoldPeering(dst, src map[string]map[pipeline.Class]int) {
+	for prov, classes := range src {
+		cur := dst[prov]
+		if cur == nil {
+			cur = map[pipeline.Class]int{}
+			dst[prov] = cur
+		}
+		for cl, n := range classes {
+			cur[cl] += n
+		}
+	}
 }
 
 // CountryQuantiles returns the requested quantiles of one country's
@@ -217,15 +232,21 @@ type ChangepointEntry struct {
 // shift score descending (worst regression first, ties by delta);
 // one-sided pairs follow, appeared before disappeared.
 func (s *Store) Changepoint(platform string, at, width int) []ChangepointEntry {
-	before := Window{To: at}
-	after := Window{From: at}
+	before, after := ChangepointWindows(at, width)
+	return ChangepointFrom(s.PairSamples(platform, before), s.PairSamples(platform, after))
+}
+
+// ChangepointWindows returns the windows Changepoint compares around
+// cycle at for the given width.
+func ChangepointWindows(at, width int) (before, after Window) {
+	before, after = Window{To: at}, Window{From: at}
 	if width > 0 {
 		if f := at - width; f > 0 {
 			before.From = f
 		}
 		after.To = at + width
 	}
-	return ChangepointFrom(s.PairSamples(platform, before), s.PairSamples(platform, after))
+	return before, after
 }
 
 // ChangepointFrom scores and ranks the changepoint comparison given
@@ -263,6 +284,14 @@ func ChangepointFrom(pre, post map[string][]float64) []ChangepointEntry {
 		}
 		out = append(out, e)
 	}
+	RankChangepoint(out)
+	return out
+}
+
+// RankChangepoint sorts scored entries into Changepoint's order:
+// two-sided pairs by shift descending, ties by delta then name, then
+// appeared, then disappeared pairs.
+func RankChangepoint(out []ChangepointEntry) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if (a.Status == "") != (b.Status == "") {
@@ -284,5 +313,4 @@ func ChangepointFrom(pre, post map[string][]float64) []ChangepointEntry {
 		}
 		return a.Provider < b.Provider
 	})
-	return out
 }

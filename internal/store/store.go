@@ -171,17 +171,7 @@ func (b *Builder) AddPeeringCounts(counts map[string]map[pipeline.Class]int) {
 // AddPeeringCountsAt folds interconnection tallies into the partition
 // covering the (possibly trace-decorated) cycle.
 func (b *Builder) AddPeeringCountsAt(cycle int, counts map[string]map[pipeline.Class]int) {
-	part := b.peering[b.opts.partitionIndex(cycle)]
-	for prov, classes := range counts {
-		dst := part[prov]
-		if dst == nil {
-			dst = map[pipeline.Class]int{}
-			part[prov] = dst
-		}
-		for cl, n := range classes {
-			dst[cl] += n
-		}
-	}
+	FoldPeering(b.peering[b.opts.partitionIndex(cycle)], counts)
 }
 
 // Seal freezes the builder into an immutable Store: every shard sorts

@@ -7,7 +7,7 @@
 // Layout. A stream opens with a 5-byte preamble — magic "CWRE" plus a
 // version byte — then carries frames:
 //
-//	frame    := uvarint(len(payload)) payload crc32c(payload)
+//	frame    := uvarint(len(payload)) payload crc32c(payload)   (internal/binfmt)
 //	payload  := type-byte body
 //
 // Frame types: control (opaque body, JSON in cluster's usage), ping
@@ -32,10 +32,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 
+	"repro/internal/binfmt"
 	"repro/internal/obs"
 )
 
@@ -64,9 +64,13 @@ var magic = [4]byte{'C', 'W', 'R', 'E'}
 // translate into an unbounded allocation.
 const (
 	// MaxFrame bounds one frame's payload (16 MiB).
-	MaxFrame = 16 << 20
+	MaxFrame = binfmt.MaxFrame
 	// maxString bounds one dictionary string.
 	maxString = 1 << 16
+	// maxDict bounds one stream's dictionary — the strings a Decoder
+	// holds for the life of a worker connection. A scale-1 campaign
+	// interns ~120 k; the cap is segment's dictionary cap.
+	maxDict = 1 << 20
 	// maxHops bounds one traceroute's hop list.
 	maxHops = 4096
 )
@@ -81,9 +85,10 @@ var (
 	// ErrTruncated marks a stream that ended without its EOF frame (or
 	// mid-frame): the producer died before finishing.
 	ErrTruncated = errors.New("wirecodec: truncated stream")
+	// ErrDictFull marks a stream that introduced more dictionary strings
+	// than any campaign needs: a buggy or hostile producer.
+	ErrDictFull = errors.New("wirecodec: stream dictionary exceeds its string limit")
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Options attaches stream telemetry. Both fields are optional; nil
 // runs uncounted.
@@ -114,7 +119,7 @@ type FrameWriter struct {
 	bw       *bufio.Writer
 	preamble bool
 	opts     Options
-	scratch  [binary.MaxVarintLen64]byte
+	buf      []byte // the framed bytes of the frame being written
 }
 
 // NewFrameWriter wraps w. Frames are buffered; call Flush to push them
@@ -141,20 +146,12 @@ func (fw *FrameWriter) WriteFrame(payload []byte) error {
 		}
 		fw.preamble = true
 	}
-	n := binary.PutUvarint(fw.scratch[:], uint64(len(payload)))
-	if _, err := fw.bw.Write(fw.scratch[:n]); err != nil {
-		return err
-	}
-	if _, err := fw.bw.Write(payload); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, castagnoli))
-	if _, err := fw.bw.Write(crc[:]); err != nil {
+	fw.buf = binfmt.AppendFrame(fw.buf[:0], payload)
+	if _, err := fw.bw.Write(fw.buf); err != nil {
 		return err
 	}
 	fw.opts.Frames.Inc()
-	fw.opts.Bytes.Add(uint64(n + len(payload) + 4))
+	fw.opts.Bytes.Add(uint64(len(fw.buf)))
 	return nil
 }
 
@@ -225,19 +222,11 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 	if _, err := io.ReadFull(fr.br, crc[:]); err != nil {
 		return nil, fmt.Errorf("%w: stream ended inside a frame checksum", ErrTruncated)
 	}
-	if got, want := crc32.Checksum(fr.buf, castagnoli), binary.LittleEndian.Uint32(crc[:]); got != want {
+	if got, want := binfmt.Checksum(fr.buf), binary.LittleEndian.Uint32(crc[:]); got != want {
 		return nil, fmt.Errorf("%w: computed %08x, frame carries %08x", ErrCRC, got, want)
 	}
 	fr.opts.Frames.Inc()
-	fr.opts.Bytes.Add(uint64(len(fr.buf)) + 4 + uint64(uvarintLen(size)))
+	var prefix [binary.MaxVarintLen64]byte // re-encoded only to count its bytes
+	fr.opts.Bytes.Add(uint64(binary.PutUvarint(prefix[:], size)) + size + 4)
 	return fr.buf, nil
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/asn"
+	"repro/internal/binfmt"
 	"repro/internal/geo"
 	"repro/internal/lastmile"
 	"repro/internal/netaddr"
@@ -26,19 +27,6 @@ func NewEncoder() *Encoder {
 	return &Encoder{dict: make(map[string]uint64, 256)}
 }
 
-// Zigzag maps a signed delta onto the unsigned varint space (small
-// magnitudes of either sign stay short). It is shared with the on-disk
-// segment format (internal/segment), which delta-codes its cycle
-// columns with the same primitive so both binary formats agree on what
-// a signed varint means.
-func Zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// Unzigzag inverts Zigzag.
-func Unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func zigzag(v int64) uint64   { return Zigzag(v) }
-func unzigzag(u uint64) int64 { return Unzigzag(u) }
-
 // appendString emits a dictionary reference: known strings cost one
 // varint; a first sighting is sent inline and assigned the next id.
 func (e *Encoder) appendString(dst []byte, s string) []byte {
@@ -46,9 +34,7 @@ func (e *Encoder) appendString(dst []byte, s string) []byte {
 		return binary.AppendUvarint(dst, id)
 	}
 	e.dict[s] = uint64(len(e.dict)) + 1
-	dst = binary.AppendUvarint(dst, 0)
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+	return binfmt.AppendString(append(dst, 0), s)
 }
 
 func (e *Encoder) appendVP(dst []byte, vp *sample.VantagePoint) []byte {
@@ -73,8 +59,8 @@ func (e *Encoder) AppendPing(dst []byte, s sample.Sample) []byte {
 	dst = e.appendVP(dst, &s.VP)
 	dst = e.appendTarget(dst, &s.Target)
 	dst = append(dst, byte(s.Protocol))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.RTTms))
-	dst = binary.AppendUvarint(dst, zigzag(int64(s.Cycle)-e.lastPingCycle))
+	dst = binfmt.AppendFloat64(dst, s.RTTms)
+	dst = binfmt.AppendZigzag(dst, int64(s.Cycle)-e.lastPingCycle)
 	e.lastPingCycle = int64(s.Cycle)
 	return dst
 }
@@ -85,12 +71,12 @@ func (e *Encoder) AppendPing(dst []byte, s sample.Sample) []byte {
 func (e *Encoder) AppendTrace(dst []byte, t sample.TraceSample) []byte {
 	dst = e.appendVP(dst, &t.VP)
 	dst = e.appendTarget(dst, &t.Target)
-	dst = binary.AppendUvarint(dst, zigzag(int64(t.Cycle)-e.lastTraceCycle))
+	dst = binfmt.AppendZigzag(dst, int64(t.Cycle)-e.lastTraceCycle)
 	e.lastTraceCycle = int64(t.Cycle)
 	dst = binary.AppendUvarint(dst, uint64(len(t.Hops)))
 	prevTTL := int64(0)
 	for _, h := range t.Hops {
-		dst = binary.AppendUvarint(dst, zigzag(int64(h.TTL)-prevTTL))
+		dst = binfmt.AppendZigzag(dst, int64(h.TTL)-prevTTL)
 		prevTTL = int64(h.TTL)
 		dst = binary.AppendUvarint(dst, uint64(h.IP))
 		flag := byte(0)
@@ -98,7 +84,7 @@ func (e *Encoder) AppendTrace(dst []byte, t sample.TraceSample) []byte {
 			flag = 1
 		}
 		dst = append(dst, flag)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.RTTms))
+		dst = binfmt.AppendFloat64(dst, h.RTTms)
 	}
 	return dst
 }
@@ -143,220 +129,130 @@ type Decoder struct {
 // NewDecoder returns a fresh per-stream decoder.
 func NewDecoder() *Decoder { return &Decoder{dict: make([]string, 0, 256)} }
 
-var errShort = fmt.Errorf("wirecodec: record body ends mid-field")
-
-func (d *Decoder) readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, errShort
+// dictString resolves one dictionary reference: id 0 introduces a
+// string inline and assigns it the next id, any other id must already
+// be known.
+func (d *Decoder) dictString(c *binfmt.Dec) string {
+	id := c.Uvarint()
+	switch {
+	case c.Err() != nil:
+		return ""
+	case id == 0 && len(d.dict) >= maxDict:
+		c.Fail(fmt.Errorf("%w (%d)", ErrDictFull, maxDict))
+		return ""
+	case id == 0:
+		s := c.String(maxString)
+		if c.Err() == nil {
+			d.dict = append(d.dict, s)
+		}
+		return s
+	case id > uint64(len(d.dict)):
+		c.Fail(fmt.Errorf("wirecodec: string ref %d beyond dictionary of %d", id, len(d.dict)))
+		return ""
 	}
-	return v, b[n:], nil
+	return d.dict[id-1]
 }
 
-func (d *Decoder) readString(b []byte) (string, []byte, error) {
-	id, b, err := d.readUvarint(b)
-	if err != nil {
-		return "", nil, err
+// uint32Of reads a uvarint that must fit 32 bits (ASNs, IPv4 addresses).
+func uint32Of(c *binfmt.Dec, what string) uint32 {
+	v := c.Uvarint()
+	if v > math.MaxUint32 {
+		c.Fail(fmt.Errorf("wirecodec: %s %d overflows uint32", what, v))
 	}
-	if id == 0 {
-		l, b, err := d.readUvarint(b)
-		if err != nil {
-			return "", nil, err
-		}
-		if l > maxString {
-			return "", nil, fmt.Errorf("wirecodec: dictionary string of %d bytes exceeds limit", l)
-		}
-		if uint64(len(b)) < l {
-			return "", nil, errShort
-		}
-		s := string(b[:l])
-		d.dict = append(d.dict, s)
-		return s, b[l:], nil
-	}
-	if id > uint64(len(d.dict)) {
-		return "", nil, fmt.Errorf("wirecodec: string ref %d beyond dictionary of %d", id, len(d.dict))
-	}
-	return d.dict[id-1], b, nil
+	return uint32(v)
 }
 
-func (d *Decoder) readVP(b []byte) (sample.VantagePoint, []byte, error) {
-	var vp sample.VantagePoint
-	var err error
-	if vp.ProbeID, b, err = d.readString(b); err != nil {
-		return vp, nil, err
+func (d *Decoder) readVP(c *binfmt.Dec) sample.VantagePoint {
+	return sample.VantagePoint{
+		ProbeID:   d.dictString(c),
+		Platform:  d.dictString(c),
+		Country:   d.dictString(c),
+		Continent: geo.Continent(c.Byte()),
+		ISP:       asn.Number(uint32Of(c, "ASN")),
+		Access:    lastmile.Access(c.Byte()),
 	}
-	if vp.Platform, b, err = d.readString(b); err != nil {
-		return vp, nil, err
-	}
-	if vp.Country, b, err = d.readString(b); err != nil {
-		return vp, nil, err
-	}
-	if len(b) < 1 {
-		return vp, nil, errShort
-	}
-	vp.Continent, b = geo.Continent(b[0]), b[1:]
-	isp, b, err := d.readUvarint(b)
-	if err != nil {
-		return vp, nil, err
-	}
-	if isp > math.MaxUint32 {
-		return vp, nil, fmt.Errorf("wirecodec: ASN %d overflows uint32", isp)
-	}
-	vp.ISP = asn.Number(isp)
-	if len(b) < 1 {
-		return vp, nil, errShort
-	}
-	vp.Access, b = lastmile.Access(b[0]), b[1:]
-	return vp, b, nil
 }
 
-func (d *Decoder) readTarget(b []byte) (sample.Target, []byte, error) {
-	var t sample.Target
-	var err error
-	if t.Region, b, err = d.readString(b); err != nil {
-		return t, nil, err
+func (d *Decoder) readTarget(c *binfmt.Dec) sample.Target {
+	return sample.Target{
+		Region:    d.dictString(c),
+		Provider:  d.dictString(c),
+		Country:   d.dictString(c),
+		Continent: geo.Continent(c.Byte()),
+		IP:        netaddr.IP(uint32Of(c, "IP")),
 	}
-	if t.Provider, b, err = d.readString(b); err != nil {
-		return t, nil, err
+}
+
+// batch opens a record batch payload (type byte included) of the given
+// frame type and returns a cursor at its first record plus the count.
+func batch(payload []byte, typ byte, what string) (binfmt.Dec, uint64, error) {
+	if len(payload) < 1 || payload[0] != typ {
+		return binfmt.Dec{}, 0, fmt.Errorf("wirecodec: not a %s batch", what)
 	}
-	if t.Country, b, err = d.readString(b); err != nil {
-		return t, nil, err
-	}
-	if len(b) < 1 {
-		return t, nil, errShort
-	}
-	t.Continent, b = geo.Continent(b[0]), b[1:]
-	ip, b, err := d.readUvarint(b)
-	if err != nil {
-		return t, nil, err
-	}
-	if ip > math.MaxUint32 {
-		return t, nil, fmt.Errorf("wirecodec: IP %d overflows uint32", ip)
-	}
-	t.IP = netaddr.IP(ip)
-	return t, b, nil
+	c := binfmt.NewDec(payload[1:])
+	count := c.Uvarint()
+	return c, count, c.Err()
 }
 
 // DecodePings walks a FramePings payload (type byte included), calling
 // fn per record. A fn error aborts the walk and is returned as-is.
 func (d *Decoder) DecodePings(payload []byte, fn func(sample.Sample) error) error {
-	if len(payload) < 1 || payload[0] != FramePings {
-		return fmt.Errorf("wirecodec: not a ping batch")
-	}
-	count, b, err := d.readUvarint(payload[1:])
+	c, count, err := batch(payload, FramePings, "ping")
 	if err != nil {
 		return err
 	}
 	for i := uint64(0); i < count; i++ {
-		var s sample.Sample
-		if s.VP, b, err = d.readVP(b); err != nil {
-			return fmt.Errorf("ping %d/%d: %w", i, count, err)
-		}
-		if s.Target, b, err = d.readTarget(b); err != nil {
-			return fmt.Errorf("ping %d/%d: %w", i, count, err)
-		}
-		if len(b) < 1+8 {
-			return fmt.Errorf("ping %d/%d: %w", i, count, errShort)
-		}
-		s.Protocol, b = sample.Protocol(b[0]), b[1:]
-		s.RTTms = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		delta, rest, err := d.readUvarint(b)
-		if err != nil {
-			return fmt.Errorf("ping %d/%d: %w", i, count, err)
-		}
-		b = rest
-		d.lastPingCycle += unzigzag(delta)
+		s := sample.Sample{VP: d.readVP(&c), Target: d.readTarget(&c)}
+		s.Protocol, s.RTTms = sample.Protocol(c.Byte()), c.Float64()
+		d.lastPingCycle += c.Zigzag()
 		s.Cycle = int(d.lastPingCycle)
 		// VTime is derived, never carried: re-deriving from (cycle,
 		// country) reproduces the producer's stamp bit-for-bit.
 		s.VTime = sample.VTimeOf(s.Cycle, s.VP.Country)
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("ping %d/%d: %w", i, count, err)
+		}
 		if err := fn(s); err != nil {
 			return err
 		}
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("wirecodec: %d trailing bytes after ping batch", len(b))
-	}
-	return nil
+	return c.End()
 }
 
 // DecodeTraces walks a FrameTraces payload (type byte included),
 // calling fn per record.
 func (d *Decoder) DecodeTraces(payload []byte, fn func(sample.TraceSample) error) error {
-	if len(payload) < 1 || payload[0] != FrameTraces {
-		return fmt.Errorf("wirecodec: not a trace batch")
-	}
-	count, b, err := d.readUvarint(payload[1:])
+	c, count, err := batch(payload, FrameTraces, "trace")
 	if err != nil {
 		return err
 	}
 	for i := uint64(0); i < count; i++ {
-		var t sample.TraceSample
-		if t.VP, b, err = d.readVP(b); err != nil {
-			return fmt.Errorf("trace %d/%d: %w", i, count, err)
-		}
-		if t.Target, b, err = d.readTarget(b); err != nil {
-			return fmt.Errorf("trace %d/%d: %w", i, count, err)
-		}
-		delta, rest, err := d.readUvarint(b)
-		if err != nil {
-			return fmt.Errorf("trace %d/%d: %w", i, count, err)
-		}
-		b = rest
-		d.lastTraceCycle += unzigzag(delta)
+		t := sample.TraceSample{VP: d.readVP(&c), Target: d.readTarget(&c)}
+		d.lastTraceCycle += c.Zigzag()
 		t.Cycle = int(d.lastTraceCycle)
 		t.VTime = sample.VTimeOf(t.Cycle, t.VP.Country)
-		nhops, rest, err := d.readUvarint(b)
-		if err != nil {
-			return fmt.Errorf("trace %d/%d: %w", i, count, err)
-		}
-		b = rest
-		if nhops > maxHops {
-			return fmt.Errorf("wirecodec: trace with %d hops exceeds limit", nhops)
-		}
-		if nhops > 0 {
-			t.Hops = make([]sample.Hop, 0, nhops)
+		if nhops := c.Count(maxHops); nhops > 0 {
+			t.Hops = make([]sample.Hop, nhops)
 		}
 		prevTTL := int64(0)
-		for h := uint64(0); h < nhops; h++ {
-			var hop sample.Hop
-			ttlDelta, rest, err := d.readUvarint(b)
-			if err != nil {
-				return fmt.Errorf("trace %d/%d hop %d: %w", i, count, h, err)
+		for h := range t.Hops {
+			prevTTL += c.Zigzag()
+			hop := sample.Hop{TTL: int(prevTTL), IP: netaddr.IP(uint32Of(&c, "hop IP"))}
+			flag := c.Byte()
+			if flag > 1 {
+				c.Fail(fmt.Errorf("wirecodec: hop flag %d is not a bool", flag))
 			}
-			b = rest
-			prevTTL += unzigzag(ttlDelta)
-			hop.TTL = int(prevTTL)
-			ip, rest, err := d.readUvarint(b)
-			if err != nil {
-				return fmt.Errorf("trace %d/%d hop %d: %w", i, count, h, err)
-			}
-			b = rest
-			if ip > math.MaxUint32 {
-				return fmt.Errorf("wirecodec: hop IP %d overflows uint32", ip)
-			}
-			hop.IP = netaddr.IP(ip)
-			if len(b) < 1+8 {
-				return fmt.Errorf("trace %d/%d hop %d: %w", i, count, h, errShort)
-			}
-			if b[0] > 1 {
-				return fmt.Errorf("wirecodec: hop flag %d is not a bool", b[0])
-			}
-			hop.Responded = b[0] == 1
-			b = b[1:]
-			hop.RTTms = math.Float64frombits(binary.LittleEndian.Uint64(b))
-			b = b[8:]
-			t.Hops = append(t.Hops, hop)
+			hop.Responded, hop.RTTms = flag == 1, c.Float64()
+			t.Hops[h] = hop
+		}
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("trace %d/%d: %w", i, count, err)
 		}
 		if err := fn(t); err != nil {
 			return err
 		}
 	}
-	if len(b) != 0 {
-		return fmt.Errorf("wirecodec: %d trailing bytes after trace batch", len(b))
-	}
-	return nil
+	return c.End()
 }
 
 // DecodeEOF parses a FrameEOF payload into its stream totals.
@@ -364,17 +260,7 @@ func DecodeEOF(payload []byte) (pings, traces uint64, err error) {
 	if len(payload) < 1 || payload[0] != FrameEOF {
 		return 0, 0, fmt.Errorf("wirecodec: not an EOF frame")
 	}
-	b := payload[1:]
-	p, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, 0, errShort
-	}
-	t, m := binary.Uvarint(b[n:])
-	if m <= 0 {
-		return 0, 0, errShort
-	}
-	if len(b) != n+m {
-		return 0, 0, fmt.Errorf("wirecodec: %d trailing bytes after EOF frame", len(b)-n-m)
-	}
-	return p, t, nil
+	c := binfmt.NewDec(payload[1:])
+	pings, traces = c.Uvarint(), c.Uvarint()
+	return pings, traces, c.End()
 }

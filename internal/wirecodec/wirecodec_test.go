@@ -2,6 +2,7 @@ package wirecodec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/asn"
+	"repro/internal/binfmt"
 	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/lastmile"
@@ -358,4 +360,50 @@ func (o *oneByteReader) Read(p []byte) (int, error) {
 		p = p[:1]
 	}
 	return o.r.Read(p)
+}
+
+// A hostile or buggy worker that introduces a fresh dictionary string
+// with every field — 16 MiB frames of 1-byte strings, forever — must
+// hit ErrDictFull, not grow the coordinator's per-connection dictionary
+// without bound. The stream below is CRC-valid and every record parses;
+// only the number of first sightings is wrong.
+func TestDictionaryCapped(t *testing.T) {
+	fresh := []byte{0, 1, 'x'} // id 0: inline string "x", assigned the next id
+	var rec []byte
+	for i := 0; i < 3; i++ { // VP: probe, platform, country
+		rec = append(rec, fresh...)
+	}
+	rec = append(rec, 1, 0, 0) // continent, ISP, access
+	for i := 0; i < 3; i++ {   // target: region, provider, country
+		rec = append(rec, fresh...)
+	}
+	rec = append(rec, 1, 0, 0)            // continent, IP, protocol
+	rec = binfmt.AppendFloat64(rec, 12.5) // RTT
+	rec = binfmt.AppendZigzag(rec, 0)     // cycle delta
+	const perFrame = 4096                 // 6 strings each
+	frames := maxDict/(6*perFrame) + 2    // enough to cross the cap
+	payload := binary.AppendUvarint([]byte{FramePings}, perFrame)
+	payload = append(payload, bytes.Repeat(rec, perFrame)...)
+
+	var buf bytes.Buffer
+	fw := NewFrameWriter(&buf, Options{})
+	for i := 0; i < frames; i++ {
+		if err := fw.WriteFrame(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&buf, Options{})
+	pings, _, err := r.Scan(nil, nil)
+	if !errors.Is(err, ErrDictFull) {
+		t.Fatalf("Scan past the dictionary cap: %v after %d pings, want ErrDictFull", err, pings)
+	}
+	if got := len(r.dec.dict); got != maxDict {
+		t.Errorf("dictionary holds %d strings after the refusal, want exactly the cap %d", got, maxDict)
+	}
+	if want := uint64(maxDict / 6); pings != want {
+		t.Errorf("delivered %d pings before the refusal, want %d", pings, want)
+	}
 }
