@@ -109,7 +109,8 @@ var (
 	ErrTruncated = fmt.Errorf("%w: truncated", ErrCorrupt)
 	// ErrZoneMap marks a block whose decoded rows contradict the
 	// footer's zone map — the footer promised a cycle or RTT range the
-	// data escapes, so pruning decisions based on it would be wrong.
+	// data escapes — or partition zones that overlap or descend: either
+	// way pruning decisions based on the footer would be wrong.
 	ErrZoneMap = fmt.Errorf("%w: zone map contradicts block data", ErrCorrupt)
 )
 

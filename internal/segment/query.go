@@ -20,14 +20,13 @@ import (
 // the sealed store's multisets, so every figure function receives
 // bit-identical input and returns bit-identical output.
 //
-// Sketch (default, unless Options.Exact): merge each group's
-// per-shard, per-partition t-digests in canonical order (shard
-// ascending, partition ascending) and answer quantile-shaped figures
-// from the merged digest. Valid only when the query window is
-// partition-aligned — every non-empty partition overlapping the
-// window must be fully inside it — otherwise rows would need
-// cycle-level filtering that a sketch cannot do, and the query falls
-// back to the exact path.
+// Sketch (default, unless Options.Exact): answer quantile-shaped
+// figures from each group's t-digest over the window, merged from the
+// reader's cached partition tree (sketchtree.go). Valid only when the
+// query window is partition-aligned — every non-empty partition
+// overlapping the window must be fully inside it — otherwise rows
+// would need cycle-level filtering that a sketch cannot do, and the
+// query falls back to the exact path.
 
 // Summary returns the reconstructed store summary; bit-identical to
 // the sealed store's.
@@ -50,7 +49,7 @@ func (r *Reader) gatherExact(dim store.Dim, platform string, w store.Window) map
 	}
 	out := make(map[string][]float64, len(parts))
 	for name, vecs := range parts {
-		if merged := mergeSorted(vecs); len(merged) > 0 {
+		if merged := store.MergeSorted(vecs); len(merged) > 0 {
 			out[name] = merged
 		}
 	}
@@ -120,75 +119,25 @@ func (r *Reader) readColumnCounted(ss *shardSeg, e entry) ([]float64, []int32, e
 	return rtt, cycle, nil
 }
 
-// mergeSorted merges ascending vectors into one ascending vector. The
-// output depends only on the combined multiset, which is exactly the
-// bit-identity contract the figure functions need.
-func mergeSorted(vecs [][]float64) []float64 {
-	switch len(vecs) {
-	case 0:
-		return nil
-	case 1:
-		return vecs[0]
+// sketchView returns each group's digest over w, for callers to read
+// and never write: a window one tree node covers is answered by the
+// cached node itself. ok is false when the window is not
+// partition-aligned (alignedRun) — the caller must fall back to the
+// exact path.
+func (r *Reader) sketchView(dim store.Dim, platform string, w store.Window) (sketchSet, bool) {
+	from, to, ok := r.alignedRun(w)
+	if !ok {
+		return nil, false
 	}
-	total := 0
-	for _, v := range vecs {
-		total += len(v)
+	t := r.trees[treeKey{dim, platform}]
+	if t == nil || from == to {
+		return nil, true
 	}
-	out := make([]float64, 0, total)
-	for _, v := range vecs {
-		out = append(out, v...)
+	views := r.cover(t, 0, 0, r.meta.partitions, from, to, nil)
+	if len(views) == 1 {
+		return views[0], true
 	}
-	sort.Float64s(out)
-	return out
-}
-
-// sketchView merges each group's sketches across shards and
-// partitions in canonical order. ok is false when the window is not
-// partition-aligned (some overlapping partition is only partially
-// inside it) — the caller must fall back to the exact path.
-func (r *Reader) sketchView(dim store.Dim, platform string, w store.Window) (map[string]*sketch.Sketch, bool) {
-	for _, ss := range r.shards {
-		for _, pz := range ss.parts {
-			if pz.rows == 0 || !w.Overlaps(pz.minCycle, pz.maxCycle) {
-				continue
-			}
-			if !w.Contains(pz.minCycle) || !w.Contains(pz.maxCycle) {
-				return nil, false
-			}
-		}
-	}
-	out := map[string]*sketch.Sketch{}
-	for _, ss := range r.shards {
-		for _, k := range ss.keys {
-			if k.dim != dim || k.platform != platform {
-				continue
-			}
-			r.mergeGroupSketches(ss, ss.groups[k], w, k.name, out)
-		}
-	}
-	return out, true
-}
-
-func (r *Reader) mergeGroupSketches(ss *shardSeg, g *groupBlocks, w store.Window, name string, out map[string]*sketch.Sketch) {
-	for _, e := range g.sketches {
-		pz := ss.parts[e.part]
-		if pz.rows == 0 || !w.Overlaps(pz.minCycle, pz.maxCycle) {
-			r.mPruned.Inc()
-			continue
-		}
-		sk, err := ss.readSketch(e)
-		if err != nil {
-			r.mBlockErrs.Inc()
-			continue
-		}
-		r.mRead.Inc()
-		if dst, ok := out[name]; ok {
-			dst.Merge(sk)
-			r.mSketches.Inc()
-		} else {
-			out[name] = sk
-		}
-	}
+	return r.mergeViews(views...), true
 }
 
 // GroupQuantiles answers a single group's quantiles from its merged
@@ -196,32 +145,12 @@ func (r *Reader) mergeGroupSketches(ss *shardSeg, g *groupBlocks, w store.Window
 // ok=false when the window is not partition-aligned or the group has
 // no samples in it; callers then use the exact path.
 func (r *Reader) GroupQuantiles(dim store.Dim, platform, name string, w store.Window, qs ...float64) ([]float64, uint64, bool) {
-	for _, ss := range r.shards {
-		for _, pz := range ss.parts {
-			if pz.rows == 0 || !w.Overlaps(pz.minCycle, pz.maxCycle) {
-				continue
-			}
-			if !w.Contains(pz.minCycle) || !w.Contains(pz.maxCycle) {
-				return nil, 0, false
-			}
-		}
-	}
-	merged := map[string]*sketch.Sketch{}
-	key := qkey{dim: dim, platform: platform, name: name}
-	for _, ss := range r.shards {
-		if g, ok := ss.groups[key]; ok {
-			r.mergeGroupSketches(ss, g, w, name, merged)
-		}
-	}
-	sk := merged[name]
+	sks, _ := r.sketchView(dim, platform, w)
+	sk := sks[name]
 	if sk == nil || sk.Count() == 0 {
 		return nil, 0, false
 	}
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = sk.Quantile(q)
-	}
-	return out, sk.Count(), true
+	return sk.Quantiles(make([]float64, 0, len(qs)), qs), sk.Count(), true
 }
 
 // LatencyMap answers the Figure 3 query.
@@ -243,7 +172,7 @@ func (r *Reader) LatencyMapWindow(minSamples int, w store.Window) []analysis.Cou
 // country sketches: the median from the digest, the 95% CI from the
 // notched-boxplot approximation ±1.57·IQR/√n (McGill et al.), in place
 // of the exact path's percentile bootstrap.
-func latencyMapFromSketches(sks map[string]*sketch.Sketch, minSamples int) []analysis.CountryLatency {
+func latencyMapFromSketches(sks sketchSet, minSamples int) []analysis.CountryLatency {
 	names := make([]string, 0, len(sks))
 	for cc := range sks {
 		names = append(names, cc)
@@ -281,6 +210,29 @@ func (r *Reader) ContinentCDFs(platform string) []analysis.ContinentDistribution
 // a CDF curve from a merged sketch.
 const sketchCDFPoints = 1024
 
+// The kernels below read a digest on fixed ascending grids, each in one
+// batch — one sweep of the centroids per grid, not one per point.
+var (
+	cdfGrid     = midpointGrid(sketchCDFPoints)
+	shiftGrid   = midpointGrid(sketchShiftPoints)
+	centileGrid = func() []float64 { // the 1st..99th percentiles
+		qs := make([]float64, 99)
+		for i := range qs {
+			qs[i] = float64(i+1) / 100
+		}
+		return qs
+	}()
+)
+
+// midpointGrid is the n-point quantile grid (i+½)/n.
+func midpointGrid(n int) []float64 {
+	qs := make([]float64, n)
+	for i := range qs {
+		qs[i] = (float64(i) + 0.5) / float64(n)
+	}
+	return qs
+}
+
 // ContinentCDFsWindow is ContinentCDFs restricted to a cycle window.
 func (r *Reader) ContinentCDFsWindow(platform string, w store.Window) []analysis.ContinentDistribution {
 	if !r.exact {
@@ -294,18 +246,14 @@ func (r *Reader) ContinentCDFsWindow(platform string, w store.Window) []analysis
 // continentCDFsFromSketches materializes each continent's CDF from a
 // dense quantile grid over the merged digest; threshold fractions come
 // straight from the digest's CDF.
-func continentCDFsFromSketches(sks map[string]*sketch.Sketch) []analysis.ContinentDistribution {
+func continentCDFsFromSketches(sks sketchSet) []analysis.ContinentDistribution {
 	var out []analysis.ContinentDistribution
 	for _, cont := range geo.Continents() {
 		sk := sks[cont.String()]
 		if sk == nil || sk.Count() == 0 {
 			continue
 		}
-		grid := make([]float64, sketchCDFPoints)
-		for i := range grid {
-			grid[i] = sk.Quantile((float64(i) + 0.5) / sketchCDFPoints)
-		}
-		cdf, err := stats.CDFFromSorted(grid)
+		cdf, err := stats.CDFFromSorted(sk.Quantiles(make([]float64, 0, sketchCDFPoints), cdfGrid))
 		if err != nil {
 			continue
 		}
@@ -342,7 +290,7 @@ func (r *Reader) PlatformDiffWindow(w store.Window) []analysis.PlatformDiff {
 // platformDiffFromSketches matches the two platforms' distributions
 // percentile by percentile on the 1st..99th grid, like the exact path,
 // with quantiles from the merged digests.
-func platformDiffFromSketches(sc, at map[string]*sketch.Sketch) []analysis.PlatformDiff {
+func platformDiffFromSketches(sc, at sketchSet) []analysis.PlatformDiff {
 	var out []analysis.PlatformDiff
 	for _, cont := range geo.Continents() {
 		a, b := sc[cont.String()], at[cont.String()]
@@ -350,12 +298,11 @@ func platformDiffFromSketches(sc, at map[string]*sketch.Sketch) []analysis.Platf
 			continue
 		}
 		d := analysis.PlatformDiff{Continent: cont, NSC: int(a.Count()), NAtlas: int(b.Count())}
+		d.Diffs = a.Quantiles(make([]float64, 0, len(centileGrid)), centileGrid)
 		atlasFaster := 0
-		for p := 1; p <= 99; p++ {
-			q := float64(p) / 100
-			diff := a.Quantile(q) - b.Quantile(q)
-			d.Diffs = append(d.Diffs, diff)
-			if diff > 0 {
+		for i, qb := range b.Quantiles(make([]float64, 0, len(centileGrid)), centileGrid) {
+			d.Diffs[i] -= qb
+			if d.Diffs[i] > 0 {
 				atlasFaster++
 			}
 		}
@@ -400,18 +347,19 @@ const sketchShiftPoints = 201
 // sketchShift approximates MannWhitneyShift — P(after > before) +
 // ½P(=) — as the mean of F_before over a quantile grid of the after
 // digest (the continuous-distribution identity E_y[F_before(y)]).
-func sketchShift(pre, post *sketch.Sketch) float64 {
+// buf is scratch for the grid's 2·sketchShiftPoints values.
+func sketchShift(pre, post *sketch.Sketch, buf []float64) float64 {
+	ys := post.Quantiles(buf[:0], shiftGrid)
 	var sum float64
-	for i := 0; i < sketchShiftPoints; i++ {
-		y := post.Quantile((float64(i) + 0.5) / sketchShiftPoints)
-		sum += pre.CDF(y)
+	for _, f := range pre.CDFs(ys[len(ys):], ys) {
+		sum += f
 	}
 	return sum / sketchShiftPoints
 }
 
 // changepointFromSketches scores the pairs from merged digests,
 // mirroring store.ChangepointFrom's entry construction.
-func changepointFromSketches(pre, post map[string]*sketch.Sketch) []store.ChangepointEntry {
+func changepointFromSketches(pre, post sketchSet) []store.ChangepointEntry {
 	names := make(map[string]struct{}, len(pre)+len(post))
 	for n := range pre {
 		names[n] = struct{}{}
@@ -420,6 +368,7 @@ func changepointFromSketches(pre, post map[string]*sketch.Sketch) []store.Change
 		names[n] = struct{}{}
 	}
 	out := make([]store.ChangepointEntry, 0, len(names))
+	buf := make([]float64, 0, 2*sketchShiftPoints)
 	for n := range names {
 		country, provider := store.SplitPair(n)
 		var nb, na int
@@ -444,7 +393,7 @@ func changepointFromSketches(pre, post map[string]*sketch.Sketch) []store.Change
 			e.MedianBeforeMs = pre[n].Quantile(0.5)
 			e.MedianAfterMs = post[n].Quantile(0.5)
 			e.DeltaMs = e.MedianAfterMs - e.MedianBeforeMs
-			e.Shift = sketchShift(pre[n], post[n])
+			e.Shift = sketchShift(pre[n], post[n], buf)
 		}
 		out = append(out, e)
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/binfmt"
 	"repro/internal/obs"
@@ -23,7 +24,8 @@ type Options struct {
 	// sketches whenever the query window is partition-aligned.
 	Exact bool
 	// Obs registers the reader's instruments: open/read/prune/merge
-	// counters and the mapped-bytes gauge. Nil runs uninstrumented.
+	// counters and the mapped-bytes and sketch-cache gauges. Nil runs
+	// uninstrumented.
 	Obs *obs.Registry
 }
 
@@ -31,19 +33,26 @@ type Options struct {
 // shard files stay memory-mapped read-only; queries fault in only the
 // blocks their window and zone maps fail to prune. A Reader is safe
 // for concurrent use — all state after Open is immutable except the
-// obs instruments.
+// obs instruments and the sketch trees (sketchtree.go), whose nodes are
+// each written once, under their sync.Once, and only read after.
 type Reader struct {
 	meta    fileMeta
 	shards  []*shardSeg
 	summary store.Summary
 	exact   bool
+	trees   map[treeKey]*sketchTree // fixed at Open; nodes fill in lazily
 
-	mOpen      *obs.Counter
-	mPruned    *obs.Counter
-	mRead      *obs.Counter
-	mSketches  *obs.Counter
-	mBlockErrs *obs.Counter
-	mOpenBytes *obs.Gauge
+	// What the trees hold, so Close can take it off the shared gauges.
+	cacheNodes, cacheBytes atomic.Int64
+
+	mOpen       *obs.Counter
+	mPruned     *obs.Counter
+	mRead       *obs.Counter
+	mSketches   *obs.Counter
+	mBlockErrs  *obs.Counter
+	mOpenBytes  *obs.Gauge
+	mNodes      *obs.Gauge
+	mCacheBytes *obs.Gauge
 }
 
 // fileMeta is the parsed meta.cseg: the store shape plus per-shard
@@ -99,17 +108,20 @@ type shardSeg struct {
 
 // Open maps the segment directory written by Write and returns a
 // reader serving the store.Querier surface. Footers, dictionaries and
-// zone maps parse eagerly (they are the query index); column and
-// sketch blocks decode lazily per query.
+// zone maps parse eagerly (they are the query index); column blocks
+// decode lazily per query, sketch blocks once, when a query first needs
+// their tree node.
 func Open(dir string, opts Options) (*Reader, error) {
 	r := &Reader{
-		exact:      opts.Exact,
-		mOpen:      opts.Obs.Counter("segment_open_total"),
-		mPruned:    opts.Obs.Counter("segment_blocks_pruned_total"),
-		mRead:      opts.Obs.Counter("segment_blocks_read_total"),
-		mSketches:  opts.Obs.Counter("segment_sketch_merges_total"),
-		mBlockErrs: opts.Obs.Counter("segment_block_errors_total"),
-		mOpenBytes: opts.Obs.Gauge("segment_open_bytes"),
+		exact:       opts.Exact,
+		mOpen:       opts.Obs.Counter("segment_open_total"),
+		mPruned:     opts.Obs.Counter("segment_blocks_pruned_total"),
+		mRead:       opts.Obs.Counter("segment_blocks_read_total"),
+		mSketches:   opts.Obs.Counter("segment_sketch_merges_total"),
+		mBlockErrs:  opts.Obs.Counter("segment_block_errors_total"),
+		mOpenBytes:  opts.Obs.Gauge("segment_open_bytes"),
+		mNodes:      opts.Obs.Gauge("segment_sketch_nodes"),
+		mCacheBytes: opts.Obs.Gauge("segment_sketch_cache_bytes"),
 	}
 	metaRaw, err := os.ReadFile(filepath.Join(dir, MetaFile))
 	if err != nil {
@@ -148,11 +160,16 @@ func Open(dir string, opts Options) (*Reader, error) {
 			ErrCorrupt, len(r.meta.shardMeta), len(r.shards))
 	}
 	r.summary = r.buildSummary()
+	r.indexTrees()
 	return r, nil
 }
 
-// Close unmaps every shard file. The Reader must not be used after.
+// Close unmaps every shard file and drops the sketch trees. The Reader
+// must not be used after.
 func (r *Reader) Close() error {
+	r.trees = nil
+	r.mNodes.Add(-r.cacheNodes.Swap(0))
+	r.mCacheBytes.Add(-r.cacheBytes.Swap(0))
 	var first error
 	for _, ss := range r.shards {
 		r.mOpenBytes.Add(-int64(len(ss.data)))
@@ -358,10 +375,21 @@ func (ss *shardSeg) parseFooter(c *binfmt.Dec) error {
 	if len(ss.parts) == 0 {
 		c.Fail(fmt.Errorf("%w: 0 partitions", ErrCorrupt))
 	}
+	// Partitions split the cycle axis in order, so the zones of the
+	// non-empty ones ascend without touching. The sketch path relies on
+	// it: a window's partitions are then one contiguous run.
+	last := -1 // the latest non-empty partition
 	for i := range ss.parts {
 		p := partZone{rows: int(c.Uvarint()), minCycle: int(c.Zigzag()), maxCycle: int(c.Zigzag())}
-		if p.rows > 0 && p.minCycle > p.maxCycle {
-			c.Fail(fmt.Errorf("%w: partition %d zone [%d, %d]", ErrCorrupt, i, p.minCycle, p.maxCycle))
+		if p.rows > 0 {
+			if p.minCycle > p.maxCycle {
+				c.Fail(fmt.Errorf("%w: partition %d zone [%d, %d]", ErrCorrupt, i, p.minCycle, p.maxCycle))
+			}
+			if last >= 0 && p.minCycle <= ss.parts[last].maxCycle {
+				c.Fail(fmt.Errorf("%w: partition %d zone [%d, %d] does not follow partition %d's [%d, %d]",
+					ErrZoneMap, i, p.minCycle, p.maxCycle, last, ss.parts[last].minCycle, ss.parts[last].maxCycle))
+			}
+			last = i
 		}
 		ss.parts[i] = p
 	}

@@ -29,15 +29,22 @@ func relErr(got, want float64) float64 {
 
 // TestSketchWithinToleranceOfExact compares every figure endpoint
 // between the sketch reader and the exact reader across shard counts
-// 1/4/16 × partition counts 1/4/16, on full-window and
-// partition-aligned windowed queries (windows that cut a partition
-// fall back to the exact path by construction, so there is nothing to
-// compare there).
+// 1/4/16 × partition counts 1/3/4/5/13/16 — powers of two and not, so
+// the partition tree is even and uneven — on the unwindowed query and a
+// half-campaign window, and at 4 shards on every contiguous partition
+// range, each answered from its own cover of tree nodes. (The shard
+// count only orders the merges inside a leaf, the range only picks the
+// cover, so the full cross product would add time and no case. Windows
+// that cut a partition fall back to the exact path by construction, so
+// there is nothing to compare there.)
 func TestSketchWithinToleranceOfExact(t *testing.T) {
-	const cycles = 16
 	for _, shards := range []int{1, 4, 16} {
-		for _, parts := range []int{1, 4, 16} {
-			st := buildStore(t, shards, parts, cycles, 8)
+		for _, shape := range []struct{ parts, span int }{{1, 16}, {4, 4}, {16, 1}, {3, 5}, {5, 3}, {13, 2}} {
+			parts, cycles := shape.parts, shape.parts*shape.span
+			// A one-partition window must still hold 36 rows per continent:
+			// under 25 the half step between the digest's interpolated CDF
+			// and the exact staircase, 1/2n, alone exceeds epsCDFFraction.
+			st := buildStore(t, shards, parts, cycles, max(8, 12/shape.span))
 			dir := t.TempDir()
 			if err := Write(dir, st); err != nil {
 				t.Fatal(err)
@@ -51,14 +58,23 @@ func TestSketchWithinToleranceOfExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			windows := []store.Window{{}}
-			if parts > 1 {
-				span := cycles / parts
-				windows = append(windows, store.Window{From: 0, To: span * (parts / 2)})
+			if shards == 4 {
+				windows = append(windows, everyPartitionRange(parts, shape.span)...)
+			} else if parts > 1 {
+				windows = append(windows, partitionRange(0, parts/2, parts, shape.span))
 			}
 			for _, w := range windows {
+				if _, _, ok := approx.alignedRun(w); !ok {
+					t.Fatalf("shards=%d parts=%d: partition range %+v is not aligned", shards, parts, w)
+				}
 				compareFigures(t, shards, parts, w, exact, approx)
 			}
-			compareChangepoint(t, shards, parts, exact, approx)
+			// Every partition boundary splits the axis into two aligned
+			// halves (parts=1 has none: cycle 8 falls back, trivially equal).
+			compareChangepoint(t, shards, parts, 8, exact, approx)
+			for at := shape.span; at < cycles; at += shape.span {
+				compareChangepoint(t, shards, parts, at, exact, approx)
+			}
 			exact.Close()
 			approx.Close()
 		}
@@ -136,13 +152,10 @@ func compareFigures(t *testing.T, shards, parts int, w store.Window, exact, appr
 	}
 }
 
-func compareChangepoint(t *testing.T, shards, parts int, exact, approx *Reader) {
+func compareChangepoint(t *testing.T, shards, parts, at int, exact, approx *Reader) {
 	t.Helper()
-	// at=8 splits the 16-cycle axis in half — partition-aligned for
-	// every partition count that divides 16 evenly at that point, and
-	// an exact-fallback (trivially equal) otherwise.
-	ec := exact.Changepoint("speedchecker", 8, 0)
-	ac := approx.Changepoint("speedchecker", 8, 0)
+	ec := exact.Changepoint("speedchecker", at, 0)
+	ac := approx.Changepoint("speedchecker", at, 0)
 	if len(ec) != len(ac) {
 		t.Fatalf("shards=%d parts=%d: changepoint entry count %d vs %d", shards, parts, len(ac), len(ec))
 	}

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -67,6 +68,18 @@ func FuzzSketchMerge(f *testing.F) {
 				prev = v
 			}
 		}
+		// Batch kernels answer what the scalar ones do, on a grid that
+		// crosses both ends and lands on every centroid mean.
+		span := a.Max() - a.Min()
+		qs, xs := make([]float64, 0, 64), make([]float64, 0, 64+len(a.means))
+		for i := -2; i <= 34; i++ {
+			qs = append(qs, float64(i)/32)
+			xs = append(xs, a.Min()+span*float64(i)/32)
+		}
+		xs = append(xs, a.means...)
+		checkBatch(t, a, qs, xs) // as built: ascending, then the means restart the scan
+		sort.Float64s(xs)
+		checkBatch(t, a, qs, xs)
 		out := a.AppendBinary(nil)
 		if _, rest, err := Decode(out); err != nil || len(rest) != 0 {
 			t.Fatalf("merged sketch does not round-trip: %v (rest %d)", err, len(rest))

@@ -11,9 +11,16 @@
 // vector sorted ascending, the canonical order), and Merge(a, b) is a
 // pure function of the ordered pair (a, b): centroids concatenate by a
 // 2-way sorted merge (a's centroid wins ties) and recompress with the
-// fixed compression. Call sites fix the merge order (shard index, then
-// partition index, ascending), so a replayed query reproduces the same
-// bits. No clock, no randomness.
+// fixed compression. Call sites fix the merge order (the segment
+// reader's partition tree, DESIGN.md §15), so a replayed query
+// reproduces the same bits. No clock, no randomness.
+//
+// Sharing. A sketch that came out of Decode, Merge or Merged holds no
+// buffered observations, and its centroid slices are never written in
+// place again — every mutation installs freshly allocated ones. Such a
+// sketch may therefore be read (Quantile, Quantiles, CDF, CDFs, Merged,
+// the argument side of Merge) from many goroutines at once; that is
+// what lets the segment reader cache decoded digests per mount.
 //
 // Accuracy. The usual t-digest property: relative rank error
 // ~O(q(1-q)/δ), tightest at the tails and the median. Small groups
@@ -27,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"repro/internal/binfmt"
 )
@@ -102,6 +110,12 @@ func (s *Sketch) Centroids() int {
 	return len(s.means)
 }
 
+// HeapBytes is the memory the sketch holds: the struct and its slices
+// at their capacity — a merged digest keeps the capacity of its merge.
+func (s *Sketch) HeapBytes() int {
+	return int(unsafe.Sizeof(*s)) + 8*(cap(s.means)+cap(s.weights)+cap(s.buf))
+}
+
 // Add folds one observation in.
 func (s *Sketch) Add(x float64) {
 	if s.count == 0 && len(s.buf) == 0 {
@@ -136,9 +150,9 @@ func (s *Sketch) flush() {
 	s.compress(means, weights)
 }
 
-// merge2Sorted merges two centroid lists sorted by mean; a's centroid
-// wins ties, which is what makes Merge a deterministic function of its
-// ordered arguments.
+// merge2Sorted merges two centroid lists sorted by mean into freshly
+// allocated slices; a's centroid wins ties, which is what makes Merge a
+// deterministic function of its ordered arguments.
 func merge2Sorted(aM []float64, aW []uint64, bM []float64, bW []uint64) ([]float64, []uint64) {
 	means := make([]float64, 0, len(aM)+len(bM))
 	weights := make([]uint64, 0, len(aW)+len(bW))
@@ -177,15 +191,16 @@ func (s *Sketch) kScale(q float64) float64 {
 
 // compress runs the single deterministic compaction pass over a
 // mean-sorted centroid list: neighbours merge while the combined
-// centroid still spans ≤ 1 unit of the k₁ scale.
+// centroid still spans ≤ 1 unit of the k₁ scale. It compacts in place
+// and keeps the slices, so they must be the caller's own — the fresh
+// pair merge2Sorted returned, never a slice another sketch can see.
 func (s *Sketch) compress(means []float64, weights []uint64) {
 	if len(means) == 0 {
 		s.means, s.weights = s.means[:0], s.weights[:0]
 		return
 	}
 	total := float64(s.count)
-	outM := make([]float64, 0, len(means))
-	outW := make([]uint64, 0, len(weights))
+	n := 0 // centroids written; n < i below, so a write never overtakes a read
 	var wSoFar float64
 	kLeft := s.kScale(0)
 	curM, curW := means[0], float64(weights[0])
@@ -195,15 +210,15 @@ func (s *Sketch) compress(means []float64, weights []uint64) {
 			curW += pW
 			curM += (means[i] - curM) * pW / curW
 		} else {
-			outM = append(outM, curM)
-			outW = append(outW, uint64(curW))
+			means[n], weights[n] = curM, uint64(curW)
+			n++
 			wSoFar += curW
 			kLeft = s.kScale(wSoFar / total)
 			curM, curW = means[i], pW
 		}
 	}
-	s.means = append(outM, curM)
-	s.weights = append(outW, uint64(curW))
+	means[n], weights[n] = curM, uint64(curW)
+	s.means, s.weights = means[:n+1], weights[:n+1]
 }
 
 // Merge folds other into s. Neither sketch's compression changes; the
@@ -233,60 +248,122 @@ func (s *Sketch) Merge(other *Sketch) {
 	s.compress(means, weights)
 }
 
-// Quantile returns the q-th quantile estimate: piecewise-linear
-// interpolation through the centroid centers, anchored at (0, min) and
-// (count, max), so estimates never escape the observed range and are
-// exact at the extremes.
-func (s *Sketch) Quantile(q float64) float64 {
+// Merged returns a new sketch holding a's observations then b's — bit
+// for bit what a.Merge(b) would leave in a — without changing either
+// (beyond folding in observations still buffered by Add, of which a
+// decoded or merged sketch has none).
+func Merged(a, b *Sketch) *Sketch {
+	a.flush()
+	out := *a // shares a's centroid slices, which Merge replaces and never writes
+	out.buf = nil
+	out.Merge(b)
+	return &out
+}
+
+// walk is a resumable left-to-right scan of the centroids. Keys — rank
+// targets for quantile, values for cdf, never both on one walk — that
+// ascend continue from the centroid the previous key stopped at; a key
+// below its predecessor (or a NaN) restarts the scan. Either way the
+// arithmetic on the way to an answer is that of a scan from the first
+// centroid, so a batch answers bit-identically to one call per key.
+type walk struct {
+	s                *Sketch
+	i                int     // the next centroid to examine
+	cum              float64 // the weight left of centroid i
+	prevPos, prevVal float64 // rank and value of the anchor left of centroid i
+	last             float64 // the previous key
+}
+
+func (s *Sketch) walk() walk {
 	s.flush()
-	if s.count == 0 {
+	return walk{s: s, prevVal: s.min, last: math.Inf(-1)}
+}
+
+func (w *walk) seek(key float64) {
+	if !(key >= w.last) {
+		*w = w.s.walk()
+	}
+	w.last = key
+}
+
+// quantile is Quantile: piecewise-linear interpolation through the
+// centroid centers, anchored at (0, min) and (count, max), so estimates
+// never escape the observed range and are exact at the extremes.
+func (w *walk) quantile(q float64) float64 {
+	s := w.s
+	switch {
+	case s.count == 0:
 		return 0
-	}
-	if q <= 0 {
+	case q <= 0:
 		return s.min
-	}
-	if q >= 1 {
+	case q >= 1:
 		return s.max
 	}
 	target := q * float64(s.count)
-	prevPos, prevVal := 0.0, s.min
-	var cum float64
-	for i, w := range s.weights {
-		center := cum + float64(w)/2
+	for w.seek(target); w.i < len(s.weights); w.i++ {
+		wt := float64(s.weights[w.i])
+		center := w.cum + wt/2
 		if target < center {
-			return lerp(prevPos, prevVal, center, s.means[i], target)
+			return lerp(w.prevPos, w.prevVal, center, s.means[w.i], target)
 		}
-		prevPos, prevVal = center, s.means[i]
-		cum += float64(w)
+		w.prevPos, w.prevVal = center, s.means[w.i]
+		w.cum += wt
 	}
-	return lerp(prevPos, prevVal, float64(s.count), s.max, target)
+	return lerp(w.prevPos, w.prevVal, float64(s.count), s.max, target)
 }
 
-// CDF returns the estimated P(X ≤ x) — the inverse of the Quantile
-// curve.
-func (s *Sketch) CDF(x float64) float64 {
-	s.flush()
-	if s.count == 0 {
+// cdf is CDF: the inverse of the quantile curve.
+func (w *walk) cdf(x float64) float64 {
+	s := w.s
+	switch {
+	case s.count == 0, x < s.min:
 		return 0
-	}
-	if x < s.min {
-		return 0
-	}
-	if x >= s.max {
+	case x >= s.max:
 		return 1
 	}
 	total := float64(s.count)
-	prevPos, prevVal := 0.0, s.min
-	var cum float64
-	for i, w := range s.weights {
-		center := cum + float64(w)/2
-		if x < s.means[i] {
-			return lerp(prevVal, prevPos, s.means[i], center, x) / total
+	for w.seek(x); w.i < len(s.weights); w.i++ {
+		wt := float64(s.weights[w.i])
+		center := w.cum + wt/2
+		if x < s.means[w.i] {
+			return lerp(w.prevVal, w.prevPos, s.means[w.i], center, x) / total
 		}
-		prevPos, prevVal = center, s.means[i]
-		cum += float64(w)
+		w.prevPos, w.prevVal = center, s.means[w.i]
+		w.cum += wt
 	}
-	return lerp(prevVal, prevPos, s.max, total, x) / total
+	return lerp(w.prevVal, w.prevPos, s.max, total, x) / total
+}
+
+// Quantile returns the q-th quantile estimate.
+func (s *Sketch) Quantile(q float64) float64 {
+	w := s.walk()
+	return w.quantile(q)
+}
+
+// Quantiles appends Quantile(q) for each q to dst. An ascending qs — a
+// grid — costs one pass over the centroids instead of one per point.
+func (s *Sketch) Quantiles(dst, qs []float64) []float64 {
+	w := s.walk()
+	for _, q := range qs {
+		dst = append(dst, w.quantile(q))
+	}
+	return dst
+}
+
+// CDF returns the estimated P(X ≤ x).
+func (s *Sketch) CDF(x float64) float64 {
+	w := s.walk()
+	return w.cdf(x)
+}
+
+// CDFs appends CDF(x) for each x to dst; ascending xs cost one pass,
+// like Quantiles.
+func (s *Sketch) CDFs(dst, xs []float64) []float64 {
+	w := s.walk()
+	for _, x := range xs {
+		dst = append(dst, w.cdf(x))
+	}
+	return dst
 }
 
 // lerp interpolates the point at x on the segment (x0,y0)-(x1,y1);

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -266,5 +267,136 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 		t.Errorf("refusing a %d-byte payload allocated %d bytes", len(huge), grew)
+	}
+}
+
+// checkBatch requires Quantiles and CDFs over the given keys to answer
+// exactly — to the bit — what one Quantile or CDF call per key answers.
+func checkBatch(t *testing.T, s *Sketch, qs, xs []float64) {
+	t.Helper()
+	for i, got := range s.Quantiles(nil, qs) {
+		if want := s.Quantile(qs[i]); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Quantiles[%d] (q=%v) = %v, Quantile = %v", i, qs[i], got, want)
+		}
+	}
+	for i, got := range s.CDFs(nil, xs) {
+		if want := s.CDF(xs[i]); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("CDFs[%d] (x=%v) = %v, CDF = %v", i, xs[i], got, want)
+		}
+	}
+}
+
+// TestBatchEqualsSingle is the batch kernels' contract: on random
+// ascending grids — with keys below, at and beyond both ends, repeated
+// keys, keys on centroid means — over empty, singleton-centroid and
+// compressed sketches, a batch equals repeated single calls with ==. A
+// grid that is not ascending, or holds a NaN, must too: the scan
+// restarts instead of answering from where it stood.
+func TestBatchEqualsSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20240611))
+	for trial := 0; trial < 400; trial++ {
+		s := New(DefaultCompression)
+		var n int
+		switch trial % 4 {
+		case 0: // empty
+		case 1:
+			n = 1 + rng.Intn(150) // every observation its own centroid
+		default:
+			n = 500 + rng.Intn(20000)
+		}
+		for i := 0; i < n; i++ {
+			s.Add(math.Round(rng.Float64()*1500) / 10) // 0.1 ms steps: plenty of ties
+		}
+		if trial%8 >= 4 { // a merged digest, as the segment reader holds
+			o := New(DefaultCompression)
+			for i := rng.Intn(5000); i > 0; i-- {
+				o.Add(20 + 60*rng.Float64())
+			}
+			s = Merged(s, o)
+		}
+		m := 1 + rng.Intn(300)
+		qs, xs := make([]float64, m), make([]float64, m)
+		for i := range qs {
+			qs[i] = rng.Float64()*1.2 - 0.1
+			xs[i] = s.Min() - 5 + rng.Float64()*(s.Max()-s.Min()+10)
+		}
+		qs = append(qs, 0, 1, 0.5, 0.5)
+		xs = append(xs, s.Min(), s.Max(), s.Quantile(0.5), s.Quantile(0.5))
+		if s.count > 0 {
+			xs = append(xs, s.means[rng.Intn(len(s.means))], s.means[0], s.means[len(s.means)-1])
+		}
+		if trial%5 != 0 {
+			sort.Float64s(qs)
+			sort.Float64s(xs)
+		} else if trial%10 == 0 {
+			qs[len(qs)/2], xs[len(xs)/2] = math.NaN(), math.NaN()
+		}
+		checkBatch(t, s, qs, xs)
+	}
+}
+
+// TestMergedLeavesOperandsUntouched pins the two properties the segment
+// reader's node cache stands on: Merged(a, b) is a.Merge(b) to the bit,
+// and neither operand — centroids, capacity and all — is written.
+func TestMergedLeavesOperandsUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	decoded := func(n int) *Sketch {
+		s := New(DefaultCompression)
+		for i := 0; i < n; i++ {
+			s.Add(10 + 90*rng.Float64())
+		}
+		out, _, err := Decode(s.AppendBinary(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	snapshot := func(s *Sketch) Sketch {
+		c := *s
+		c.means = append([]float64(nil), s.means[:cap(s.means)]...)
+		c.weights = append([]uint64(nil), s.weights[:cap(s.weights)]...)
+		return c
+	}
+	for _, sizes := range [][2]int{{0, 0}, {0, 700}, {700, 0}, {40, 60}, {3000, 2500}} {
+		a, b := decoded(sizes[0]), decoded(sizes[1])
+		a0, b0 := snapshot(a), snapshot(b)
+		got := Merged(a, b)
+		for _, op := range []struct {
+			name   string
+			s      *Sketch
+			before Sketch
+		}{{"a", a, a0}, {"b", b, b0}} {
+			if now := snapshot(op.s); !reflect.DeepEqual(now, op.before) {
+				t.Fatalf("sizes %v: Merged wrote to %s", sizes, op.name)
+			}
+		}
+		// Nor may a later merge into the result, even where the result
+		// still shares a's slices (b was empty).
+		got.Merge(decoded(300))
+		if now := snapshot(a); !reflect.DeepEqual(now, a0) {
+			t.Fatalf("sizes %v: a merge into Merged's result wrote to a", sizes)
+		}
+		want := Merged(a, b).AppendBinary(nil)
+		a.Merge(b)
+		if !bytes.Equal(a.AppendBinary(nil), want) {
+			t.Fatalf("sizes %v: Merged(a, b) differs from a.Merge(b)", sizes)
+		}
+	}
+}
+
+// TestMergeAllocatesTwoSlices pins the merge's allocation count: the
+// merged mean and weight slices, compacted in place — no third and
+// fourth for the compaction's output.
+func TestMergeAllocatesTwoSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a, b := New(DefaultCompression), New(DefaultCompression)
+	for i := 0; i < 5000; i++ {
+		a.Add(100 * rng.Float64())
+		b.Add(100 * rng.Float64())
+	}
+	a.Centroids()
+	b.Centroids()
+	if n := testing.AllocsPerRun(50, func() { a.Merge(b) }); n != 2 {
+		t.Errorf("Merge allocates %v times, want 2", n)
 	}
 }

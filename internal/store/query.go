@@ -42,7 +42,7 @@ func (s *Store) gather(dim dimension, w Window, platform string) map[string][]fl
 		wg.Add(1)
 		go func(name string, vecs [][]float64) {
 			defer wg.Done()
-			merged := mergeSorted(vecs)
+			merged := MergeSorted(vecs)
 			mu.Lock()
 			out[name] = merged
 			mu.Unlock()
@@ -191,7 +191,7 @@ func (s *Store) CountryQuantilesWindow(platform, country string, w Window, qs ..
 	for _, sh := range s.shards {
 		vecs = append(vecs, sh.keyVectors(dimCountry, groupKey{platform, country}, w)...)
 	}
-	merged := mergeSorted(vecs)
+	merged := MergeSorted(vecs)
 	out, err := stats.QuantilesSorted(merged, qs...)
 	if err != nil {
 		return nil, 0, err

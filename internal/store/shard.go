@@ -239,7 +239,7 @@ func (sh *shard) view(dim dimension, w Window) map[groupKey][]float64 {
 	}
 	out := make(map[groupKey][]float64, len(vecsByKey))
 	for k, vecs := range vecsByKey {
-		out[k] = mergeSorted(vecs)
+		out[k] = MergeSorted(vecs)
 	}
 	return out
 }
@@ -268,10 +268,12 @@ func (sh *shard) keyVectors(dim dimension, k groupKey, w Window) [][]float64 {
 	return out
 }
 
-// mergeSorted k-way merges ascending vectors into one ascending vector.
-// For a single input it returns it as-is (shard vectors are immutable,
-// so sharing is safe); callers must treat the result as read-only.
-func mergeSorted(vecs [][]float64) []float64 {
+// MergeSorted k-way merges ascending vectors into one ascending vector;
+// the result depends only on the combined multiset. For a single input
+// it returns it as-is (shard vectors are immutable, so sharing is
+// safe); callers must treat the result as read-only. The segment
+// reader's exact path merges its decoded columns with it too.
+func MergeSorted(vecs [][]float64) []float64 {
 	nonEmpty := vecs[:0:0]
 	total := 0
 	for _, v := range vecs {

@@ -187,7 +187,7 @@ func TestMergeSorted(t *testing.T) {
 			all = append(all, xs...)
 		}
 		sort.Float64s(all)
-		got := mergeSorted(vecs)
+		got := MergeSorted(vecs)
 		if len(all) == 0 {
 			if len(got) != 0 {
 				t.Fatalf("trial %d: merged %d values from empty input", trial, len(got))
