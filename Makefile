@@ -30,8 +30,8 @@ lint-json:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Short fuzz pass over the text and binary codecs (regression corpus +
-# 10s each).
+# Short fuzz pass over the text and binary codecs and the lazily seeded
+# random source (regression corpus + 10s each).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzImportPings -fuzztime=10s ./internal/atlasfmt/
 	$(GO) test -run=NONE -fuzz=FuzzImportTraces -fuzztime=10s ./internal/atlasfmt/
@@ -41,6 +41,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wirecodec/
 	$(GO) test -run=NONE -fuzz=FuzzSegmentDecode -fuzztime=10s -fuzzminimizetime=1x ./internal/segment/
 	$(GO) test -run=NONE -fuzz=FuzzSketchMerge -fuzztime=10s -fuzzminimizetime=1x ./internal/sketch/
+	$(GO) test -run=NONE -fuzz=FuzzSource -fuzztime=10s ./internal/detrand/
 
 # fuzz-smoke is the pre-merge slice of the fuzz pass: 2s per codec
 # target, enough to replay the corpus and shake out shallow regressions
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzWireDecode -fuzztime=2s ./internal/wirecodec/
 	$(GO) test -run=NONE -fuzz=FuzzSegmentDecode -fuzztime=2s -fuzzminimizetime=1x ./internal/segment/
 	$(GO) test -run=NONE -fuzz=FuzzSketchMerge -fuzztime=2s -fuzzminimizetime=1x ./internal/sketch/
+	$(GO) test -run=NONE -fuzz=FuzzSource -fuzztime=2s ./internal/detrand/
 
 # Full Go benchmark suite with allocation stats, including the store
 # fan-out/merge and the serve cached-vs-cold comparison. For measuring

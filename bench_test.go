@@ -361,6 +361,7 @@ func BenchmarkPingSimulation(b *testing.B) {
 	s := benchData(b)
 	p := s.SC.InCountry("DE")[0]
 	r := s.World.Inventory.RegionsOf("GCP")[0]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Sim.Ping(p, r, dataset.TCP, i)
@@ -371,6 +372,7 @@ func BenchmarkTracerouteSimulation(b *testing.B) {
 	s := benchData(b)
 	p := s.SC.InCountry("JP")[0]
 	r := s.World.Inventory.RegionsOf("AMZN")[0]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Sim.Traceroute(p, r, i)

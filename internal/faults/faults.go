@@ -16,7 +16,8 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+
+	"repro/internal/detrand"
 )
 
 // Op identifies which measurement of a task a ping fault applies to.
@@ -153,34 +154,11 @@ const (
 // u returns a uniform [0,1) draw keyed by the tag, two string keys and
 // up to three integers.
 func (p *Plan) u(tag byte, a, b string, n1, n2, n3 int) float64 {
-	h := fnv.New64a()
-	var seed [8]byte
-	for i := range seed {
-		seed[i] = byte(p.Seed >> (8 * i))
+	h := detrand.NewHash().Int64(p.Seed).Byte(tag).Str(a).Byte(0).Str(b)
+	for _, n := range [...]int{n1, n2, n3} {
+		h = h.Bytes(byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	}
-	h.Write(seed[:])
-	h.Write([]byte{tag})
-	h.Write([]byte(a))
-	h.Write([]byte{0})
-	h.Write([]byte(b))
-	var ns [12]byte
-	for i, n := range []int{n1, n2, n3} {
-		ns[4*i] = byte(n)
-		ns[4*i+1] = byte(n >> 8)
-		ns[4*i+2] = byte(n >> 16)
-		ns[4*i+3] = byte(n >> 24)
-	}
-	h.Write(ns[:])
-	return float64(splitmix64(h.Sum64())>>11) / float64(1<<53)
-}
-
-// splitmix64 finalizes the FNV hash: related keys (same pair,
-// consecutive cycles) must not produce correlated draws.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return h.Uniform()
 }
 
 // partitioned reports whether the probe sits behind the partition

@@ -57,6 +57,9 @@ func TestNoRawTimeObsExemption(t *testing.T) {
 		"internal/segment", "internal/sketch",
 		// So is the byte vocabulary all three are written in.
 		"internal/binfmt",
+		// Every simulated measurement draws from this package's seeded
+		// stream; a clock anywhere in it would make campaigns unreplayable.
+		"internal/detrand",
 	} {
 		if got := runAs(rel); len(got) == 0 {
 			t.Errorf("norawtime found nothing in %s; the obs exemption leaked", rel)

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -35,6 +34,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/dataset"
+	"repro/internal/detrand"
 	"repro/internal/faults"
 	"repro/internal/geo"
 	"repro/internal/netsim"
@@ -717,6 +717,7 @@ func (c *Campaign) dispatch(ctx context.Context, tasks chan<- task, clock *virtu
 	}
 	sinceCkpt := 0
 	lastCkptMinute := clock.now()
+	rng := detrand.New(0) // this goroutine's generator, re-seeded per draw key
 	// One span per country sweep; cspan outlives each iteration so the
 	// deferred End covers the early returns mid-cycle (End is idempotent,
 	// so the per-iteration End makes the deferred one a no-op normally).
@@ -746,7 +747,7 @@ func (c *Campaign) dispatch(ctx context.Context, tasks chan<- task, clock *virtu
 			if cycle == countCycle {
 				st.CountriesCycled++
 			}
-			connected := c.connectedProbes(all, cycle, cfg.ProbesPerCountry)
+			connected := c.connectedProbes(rng, all, cycle, cfg.ProbesPerCountry)
 			snap.Connected += len(connected)
 			for _, p := range connected {
 				connectedCycles[p.ID]++
@@ -922,20 +923,19 @@ func (c *Campaign) resolvePing(p *probes.Probe, r *cloud.Region, op faults.Op, c
 // modulation on, the country's sweep-phase time of day scales every
 // probe's availability — the same RNG draws decide connectivity either
 // way, so an amplitude of zero reproduces the unmodulated campaign
-// bit-for-bit.
-func (c *Campaign) connectedProbes(all []*probes.Probe, cycle, limit int) []*probes.Probe {
+// bit-for-bit. rng is the dispatch goroutine's generator.
+func (c *Campaign) connectedProbes(rng *rand.Rand, all []*probes.Probe, cycle, limit int) []*probes.Probe {
 	var connected []*probes.Probe
 	for _, p := range all {
 		avail := p.Availability * diurnalFactor(c.Cfg.DiurnalAmplitude, p.Country, cycle)
-		if c.rngFor(p.ID, cycle).Float64() < avail {
+		if c.rngFor(rng, p.ID, cycle).Float64() < avail {
 			connected = append(connected, p)
 		}
 	}
 	if limit <= 0 || len(connected) <= limit {
 		return connected
 	}
-	rng := c.rngFor(all[0].Country, cycle)
-	rng.Shuffle(len(connected), func(i, j int) {
+	c.rngFor(rng, all[0].Country, cycle).Shuffle(len(connected), func(i, j int) {
 		connected[i], connected[j] = connected[j], connected[i]
 	})
 	return connected[:limit]
@@ -973,16 +973,26 @@ func (c *Campaign) targetsFor(p *probes.Probe, cycle, probeIdx int) []*cloud.Reg
 	// neighbour-continent regions — are measured every cycle: the
 	// paper's per-probe "closest datacenter" series needs density
 	// there. A rotating window covers the rest of the pool across
-	// cycles.
+	// cycles. Each region's distance is computed once and the sort
+	// compares the stored values, nearest first, ties by ID.
 	byDistance := func(pool []*cloud.Region) {
-		sort.Slice(pool, func(i, j int) bool {
-			di := geo.DistanceKm(p.Loc, pool[i].Loc)
-			dj := geo.DistanceKm(p.Loc, pool[j].Loc)
-			if di != dj {
-				return di < dj
+		type near struct {
+			r *cloud.Region
+			d float64
+		}
+		ns := make([]near, len(pool))
+		for i, r := range pool {
+			ns[i] = near{r, geo.DistanceKm(p.Loc, r.Loc)}
+		}
+		sort.Slice(ns, func(i, j int) bool {
+			if ns[i].d != ns[j].d {
+				return ns[i].d < ns[j].d
 			}
-			return pool[i].ID < pool[j].ID
+			return ns[i].r.ID < ns[j].r.ID
 		})
+		for i, n := range ns {
+			pool[i] = n.r
+		}
 	}
 	byDistance(home)
 	byDistance(neighbor)
@@ -1052,41 +1062,27 @@ func diurnalFactor(amplitude float64, country string, cycle int) float64 {
 	return 1 - amplitude*nightShare
 }
 
-// runTask executes a task's surviving measurements on a worker.
+// runTask executes a task's surviving measurements on a worker, all
+// over one forwarding plan.
 func (c *Campaign) runTask(tk task, results chan<- any) {
+	pr := c.Sim.Pair(tk.probe, tk.region)
 	if tk.doTCP {
-		results <- c.Sim.Ping(tk.probe, tk.region, dataset.TCP, tk.cycle)
+		results <- pr.Ping(dataset.TCP, tk.cycle)
 	}
 	if tk.doICMP {
-		results <- c.Sim.Ping(tk.probe, tk.region, dataset.ICMP, tk.cycle)
+		results <- pr.Ping(dataset.ICMP, tk.cycle)
 	}
 	for _, tc := range tk.traces {
-		results <- c.Sim.Traceroute(tk.probe, tk.region, tc)
+		results <- pr.Traceroute(tc)
 	}
 	results <- taskDone{}
 }
 
-func (c *Campaign) rngFor(key string, cycle int) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h.Write([]byte{byte(cycle), byte(cycle >> 8)})
-	var seed [8]byte
-	for i := range seed {
-		seed[i] = byte(c.Cfg.Seed >> (8 * i))
-	}
-	h.Write(seed[:])
-	return rand.New(rand.NewSource(int64(splitmix64(h.Sum64()))))
-}
-
-// splitmix64 finalizes a hash before it seeds math/rand: related FNV
-// values (same probe, consecutive cycles) otherwise produce visibly
-// structured first draws from rand.NewSource, which correlated probe
-// availability across cycles.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// rngFor re-seeds rng for one campaign-side draw keyed by (key, cycle)
+// and the campaign seed, and returns it.
+func (c *Campaign) rngFor(rng *rand.Rand, key string, cycle int) *rand.Rand {
+	rng.Seed(detrand.NewHash().Str(key).Bytes(byte(cycle), byte(cycle>>8)).Int64(c.Cfg.Seed).Seed())
+	return rng
 }
 
 // virtualClock books measurement requests against the rate limit and

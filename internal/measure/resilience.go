@@ -1,8 +1,9 @@
 package measure
 
 import (
-	"hash/fnv"
 	"math"
+
+	"repro/internal/detrand"
 )
 
 // backoffMs returns the virtual backoff charged before retry attempt+1:
@@ -24,17 +25,8 @@ func backoffMs(base, max float64, attempt int, u float64) float64 {
 // the campaign seed and the measurement identity — re-running the same
 // campaign replays the same backoff schedule.
 func jitterU(seed int64, probe, region string, op, cycle, attempt int) float64 {
-	h := fnv.New64a()
-	var sb [8]byte
-	for i := range sb {
-		sb[i] = byte(seed >> (8 * i))
-	}
-	h.Write(sb[:])
-	h.Write([]byte(probe))
-	h.Write([]byte{0})
-	h.Write([]byte(region))
-	h.Write([]byte{byte(op), byte(cycle), byte(cycle >> 8), byte(attempt)})
-	return float64(splitmix64(h.Sum64())>>11) / float64(1<<53)
+	return detrand.NewHash().Int64(seed).Str(probe).Byte(0).Str(region).
+		Bytes(byte(op), byte(cycle), byte(cycle>>8), byte(attempt)).Uniform()
 }
 
 // breakerEntry is one probe's circuit-breaker state. Exported fields so

@@ -20,13 +20,14 @@
 package netsim
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/asn"
 	"repro/internal/cloud"
 	"repro/internal/dataset"
+	"repro/internal/detrand"
 	"repro/internal/faults"
 	"repro/internal/geo"
 	"repro/internal/lastmile"
@@ -85,29 +86,21 @@ func New(w *world.World) *Simulator {
 	}
 }
 
-// rngFor derives the deterministic per-measurement RNG.
-func (s *Simulator) rngFor(probeID, regionID string, proto dataset.Protocol, cycle int) *rand.Rand {
-	h := fnv.New64a()
-	h.Write([]byte(probeID))
-	h.Write([]byte{0})
-	h.Write([]byte(regionID))
-	h.Write([]byte{byte(proto), byte(cycle), byte(cycle >> 8), byte(cycle >> 16)})
-	var seedBytes [8]byte
-	for i := range seedBytes {
-		seedBytes[i] = byte(s.W.Config.Seed >> (8 * i))
-	}
-	h.Write(seedBytes[:])
-	return rand.New(rand.NewSource(int64(splitmix64(h.Sum64()))))
-}
+// rngs recycles the per-measurement generators across goroutines. Each
+// is a detrand source, which re-seeds without computing its register,
+// so a measurement reads math/rand's stream for its seed and allocates
+// nothing to do it.
+var rngs = sync.Pool{New: func() any { return detrand.New(0) }}
 
-// splitmix64 finalizes the hash before seeding math/rand; without it,
-// related hash values (same pair, consecutive cycles) yield visibly
-// structured first draws, which would correlate jitter across cycles.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// rngFor derives the deterministic per-measurement RNG, seeded from a
+// hash of (probe, region, protocol, cycle, world seed). The caller puts
+// it back into rngs when the measurement is done.
+func (s *Simulator) rngFor(probeID, regionID string, proto dataset.Protocol, cycle int) *rand.Rand {
+	rng := rngs.Get().(*rand.Rand)
+	rng.Seed(detrand.NewHash().Str(probeID).Byte(0).Str(regionID).
+		Bytes(byte(proto), byte(cycle), byte(cycle>>8), byte(cycle>>16)).
+		Int64(s.W.Config.Seed).Seed())
+	return rng
 }
 
 // segment is one wired stretch of the path with its owner AS.
@@ -137,7 +130,9 @@ func (s *Simulator) buildPlan(p *probes.Probe, r *cloud.Region) plan {
 			segments: []segment{{from: p.Loc, to: r.Loc, fromC: p.Country, toC: r.Country,
 				owner: r.Provider.ASN, routersAtEnd: 1}}}
 	}
-	pl := plan{kind: kind, asPath: asPath}
+	// One segment per AS hand-off, plus the provider edge and the cloud
+	// segment proper.
+	pl := plan{kind: kind, asPath: asPath, segments: make([]segment, 0, len(asPath)+1)}
 	if kind == world.IcDirectIXP {
 		pl.ixp = s.W.IXPForPeering(p.ISP)
 	}
@@ -151,11 +146,8 @@ func (s *Simulator) buildPlan(p *probes.Probe, r *cloud.Region) plan {
 	})
 	cur, curC = ispPoP.Loc, ispPoP.Country
 
-	ingress := s.W.CloudIngress(kind, p.Loc, r)
-	ingressC := r.Country
-	if pop, ok := s.W.NearestPoP(r.Provider.ASN, ingress); ok && pop.Loc == ingress {
-		ingressC = pop.Country
-	}
+	in := s.W.CloudIngress(kind, p.Loc, r)
+	ingress, ingressC := in.Loc, in.Country
 
 	// Transit ASes walk from the ISP PoP towards the cloud ingress.
 	inter := asPath[1 : len(asPath)-1]
@@ -259,14 +251,46 @@ func (s *Simulator) drawLastMile(p *probes.Probe, rng *rand.Rand) lastmile.Sampl
 	return sample
 }
 
+// Pair is one <probe, region> pair with its forwarding plan laid once.
+// A campaign task runs its pings and traceroutes through one Pair; the
+// plan is a pure function of the pair, so every measurement reads the
+// same values it would from a freshly built one. A Pair holds no
+// generator state and is safe for concurrent use.
+type Pair struct {
+	s      *Simulator
+	probe  *probes.Probe
+	region *cloud.Region
+	pl     plan
+	vp     dataset.VantagePoint
+	target dataset.Target
+}
+
+// Pair lays the forwarding plan of a <probe, region> pair.
+func (s *Simulator) Pair(p *probes.Probe, r *cloud.Region) Pair {
+	return Pair{s: s, probe: p, region: r, pl: s.buildPlan(p, r), vp: s.vantage(p), target: s.target(r)}
+}
+
+// Ping runs one ping measurement over a freshly laid plan (see
+// Pair.Ping).
+func (s *Simulator) Ping(p *probes.Probe, r *cloud.Region, proto dataset.Protocol, cycle int) dataset.PingRecord {
+	return s.Pair(p, r).Ping(proto, cycle)
+}
+
+// Traceroute runs one ICMP traceroute over a freshly laid plan (see
+// Pair.Traceroute).
+func (s *Simulator) Traceroute(p *probes.Probe, r *cloud.Region, cycle int) dataset.TracerouteRecord {
+	return s.Pair(p, r).Traceroute(cycle)
+}
+
 // Ping runs one ping measurement. TCP pings measure the end-to-end
 // handshake RTT; ICMP echoes run marginally higher with more variance,
 // matching the within-2% gap §3.3 reports for Speedchecker.
-func (s *Simulator) Ping(p *probes.Probe, r *cloud.Region, proto dataset.Protocol, cycle int) dataset.PingRecord {
+func (pr Pair) Ping(proto dataset.Protocol, cycle int) dataset.PingRecord {
+	s, p, r := pr.s, pr.probe, pr.region
 	rng := s.rngFor(p.ID, r.ID, proto, cycle)
-	pl := s.buildPlan(p, r)
+	defer rngs.Put(rng)
 	lm := s.drawLastMile(p, rng)
-	rtt := lm.UserToISPms + s.wiredRTT(pl, rng)
+	rtt := lm.UserToISPms + s.wiredRTT(pr.pl, rng)
 	if proto == dataset.ICMP {
 		rtt *= 1.015
 		rtt += math.Abs(rng.NormFloat64()) * 1.2
@@ -276,8 +300,8 @@ func (s *Simulator) Ping(p *probes.Probe, r *cloud.Region, proto dataset.Protoco
 	}
 	rtt += s.Events.ExtraRTT(p.Country, r.Country, sample.CampaignCycle(cycle))
 	return dataset.PingRecord{
-		VP:       s.vantage(p),
-		Target:   s.target(r),
+		VP:       pr.vp,
+		Target:   pr.target,
 		Protocol: proto,
 		RTTms:    rtt,
 		Cycle:    cycle,
@@ -289,18 +313,26 @@ func (s *Simulator) Ping(p *probes.Probe, r *cloud.Region, proto dataset.Protoco
 // artifacts the paper has to cope with: private and CGN first hops,
 // unresponsive routers, IXP hops that only sometimes appear, and the
 // occasional truncated trace.
-func (s *Simulator) Traceroute(p *probes.Probe, r *cloud.Region, cycle int) dataset.TracerouteRecord {
+func (pr Pair) Traceroute(cycle int) dataset.TracerouteRecord {
+	s, p, r, pl := pr.s, pr.probe, pr.region, pr.pl
 	rng := s.rngFor(p.ID, r.ID, dataset.ICMP, cycle)
-	pl := s.buildPlan(p, r)
+	defer rngs.Put(rng)
 	lm := s.drawLastMile(p, rng)
 
 	var tf faults.TraceFault
 	if s.Faults != nil {
 		tf = s.Faults.Trace(p.ID, r.ID, cycle)
 	}
+	// Room for every hop the plan can answer with: two last-mile hops,
+	// the segments' routers, the exchange and the target.
+	maxHops := 4
+	for _, seg := range pl.segments {
+		maxHops += seg.routersAtEnd
+	}
 	rec := dataset.TracerouteRecord{
-		VP: s.vantage(p), Target: s.target(r), Cycle: cycle,
+		VP: pr.vp, Target: pr.target, Cycle: cycle,
 		VTime: sample.VTimeOf(cycle, p.Country),
+		Hops:  make([]dataset.Hop, 0, maxHops),
 	}
 	ttl := 0
 	cum := 0.0
@@ -376,7 +408,7 @@ func (s *Simulator) Traceroute(p *probes.Probe, r *cloud.Region, cycle int) data
 	}
 	ttl++
 	rec.Hops = append(rec.Hops, dataset.Hop{
-		TTL: ttl, IP: s.W.RegionIP(r), RTTms: cum + 0.2 + math.Abs(rng.NormFloat64())*0.5,
+		TTL: ttl, IP: pr.target.IP, RTTms: cum + 0.2 + math.Abs(rng.NormFloat64())*0.5,
 		Responded: true,
 	})
 	return truncateTrace(rec, tf)

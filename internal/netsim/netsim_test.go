@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cloud"
@@ -244,6 +245,63 @@ func TestTracerouteDeterminism(t *testing.T) {
 		if a.Hops[i] != b.Hops[i] {
 			t.Fatalf("hop %d differs", i)
 		}
+	}
+}
+
+// TestPairCarriesNoState runs one Pair's measurements in two different
+// orders, interleaved with other pairs' measurements on other
+// goroutines, and requires every record to equal the one a fresh plan
+// yields: the plan is laid once, and the pooled generators leave no
+// state behind between measurements.
+func TestPairCarriesNoState(t *testing.T) {
+	p := probeIn(t, "BR", lastmile.Cellular)
+	r := regionOf(t, "AMZN", "Ashburn")
+	pr := testSim.Pair(p, r)
+	const n = 40
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		other := testSim.Pair(probeIn(t, "JP", lastmile.WiFi), regionOf(t, "GCP", "Tokyo"))
+		for i := 0; i < 4*n; i++ {
+			other.Ping(dataset.ICMP, i)
+			other.Traceroute(i)
+		}
+	}()
+	for i := n - 1; i >= 0; i-- {
+		for _, proto := range []dataset.Protocol{dataset.TCP, dataset.ICMP} {
+			if got, want := pr.Ping(proto, i), testSim.Ping(p, r, proto, i); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycle %d %v: reused pair %+v, fresh plan %+v", i, proto, got, want)
+			}
+		}
+		if got, want := pr.Traceroute(i), testSim.Traceroute(p, r, i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d: reused pair's trace differs from a fresh plan's", i)
+		}
+	}
+	<-done
+}
+
+// TestMeasurementAllocs pins what one measurement over a laid plan
+// allocates: nothing for a ping, the hop slice for a traceroute. A
+// generator built per measurement (rand.NewSource is a 4.9 KB register)
+// fails it. The race detector's sync.Pool drops items at random, so the
+// counts only hold without it.
+func TestMeasurementAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool keeps nothing reliably under the race detector")
+	}
+	pr := testSim.Pair(probeIn(t, "DE", lastmile.WiFi), regionOf(t, "AMZN", "Frankfurt"))
+	cycle := 0
+	if n := testing.AllocsPerRun(200, func() {
+		cycle++
+		pr.Ping(dataset.TCP, cycle)
+	}); n != 0 {
+		t.Errorf("Pair.Ping allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		cycle++
+		pr.Traceroute(cycle)
+	}); n != 1 {
+		t.Errorf("Pair.Traceroute allocates %v times, want 1 (its hops)", n)
 	}
 }
 

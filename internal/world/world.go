@@ -87,6 +87,7 @@ type World struct {
 	providerByASN   map[asn.Number]*cloud.Provider
 	ic              map[icKey]Interconnect
 	ixpByASN        map[asn.Number]*IXP
+	regionIPs       map[string]netaddr.IP // region ID → VM endpoint address
 }
 
 // Build synthesizes a world from the configuration.
@@ -104,6 +105,7 @@ func Build(cfg Config) (*World, error) {
 		providerByASN:   make(map[asn.Number]*cloud.Provider),
 		ic:              make(map[icKey]Interconnect),
 		ixpByASN:        make(map[asn.Number]*IXP),
+		regionIPs:       make(map[string]netaddr.IP),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	if err := w.buildTier1s(rng); err != nil {
@@ -227,19 +229,10 @@ func (w *World) ProbeIP(isp asn.Number, i int) netaddr.IP {
 }
 
 // RegionIP returns the address of the public VM endpoint in a region
-// (the CloudHarmony-style hostname target, §3.1).
-func (w *World) RegionIP(r *cloud.Region) netaddr.IP {
-	p, ok := w.prefixes[r.Provider.ASN]
-	if !ok {
-		return 0
-	}
-	for i, cand := range w.Inventory.RegionsOf(r.Provider.Code) {
-		if cand.ID == r.ID {
-			return p.Nth(uint64(i+1)*256 + 10)
-		}
-	}
-	return 0
-}
+// (the CloudHarmony-style hostname target, §3.1): host .10 of the
+// (i+1)-th /24 of the provider's block for the provider's i-th region.
+// It is zero for a region the inventory does not hold.
+func (w *World) RegionIP(r *cloud.Region) netaddr.IP { return w.regionIPs[r.ID] }
 
 // Interconnect returns the interconnection kind chosen for a
 // <serving ISP, provider> pair.
@@ -364,20 +357,21 @@ func (w *World) publicDetour(isp *asn.AS, prov asn.Number) ([]asn.Number, bool) 
 // network on its way from vpLoc to the region, per §6.2: direct paths
 // ingress the WAN close to the vantage point, private interconnects
 // ingress at an edge PoP part-way, and public paths only touch the
-// provider at the datacenter itself.
-func (w *World) CloudIngress(kind Interconnect, vpLoc geo.Point, region *cloud.Region) geo.Point {
+// provider at the datacenter itself. The result is the WAN PoP chosen,
+// or the datacenter's own location and country.
+func (w *World) CloudIngress(kind Interconnect, vpLoc geo.Point, region *cloud.Region) PoP {
 	switch kind {
 	case IcDirect, IcDirectIXP:
 		if pop, ok := w.NearestPoP(region.Provider.ASN, vpLoc); ok {
-			return pop.Loc
+			return pop
 		}
 	case IcPrivateTransit:
 		mid := geo.Midpoint(vpLoc, region.Loc)
 		if pop, ok := w.NearestPoP(region.Provider.ASN, mid); ok {
-			return pop.Loc
+			return pop
 		}
 	}
-	return region.Loc
+	return PoP{Loc: region.Loc, Country: region.Country}
 }
 
 // IXPForPeering returns the exchange a direct-via-IXP interconnect uses:
@@ -665,6 +659,9 @@ func (w *World) buildClouds(rng *rand.Rand) error {
 		}
 		w.prefixes[prov.ASN] = p
 		w.providerByASN[prov.ASN] = prov
+		for i, r := range w.Inventory.RegionsOf(prov.Code) {
+			w.regionIPs[r.ID] = p.Nth(uint64(i+1)*256 + 10)
+		}
 		w.buildCloudPoPs(prov)
 		w.wireCloudTransit(prov, rng)
 	}

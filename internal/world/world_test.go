@@ -191,17 +191,61 @@ func TestCloudIngressSemantics(t *testing.T) {
 	if mumbai == nil {
 		t.Fatal("no Mumbai region")
 	}
-	direct := w.CloudIngress(IcDirect, de.Centroid, mumbai)
+	direct := w.CloudIngress(IcDirect, de.Centroid, mumbai).Loc
 	public := w.CloudIngress(IcPublic, de.Centroid, mumbai)
-	if geo.DistanceKm(de.Centroid, direct) >= geo.DistanceKm(de.Centroid, public) {
+	if geo.DistanceKm(de.Centroid, direct) >= geo.DistanceKm(de.Centroid, public.Loc) {
 		t.Errorf("direct ingress (%v) should be closer to the VP than public ingress (%v)", direct, public)
 	}
-	if public != mumbai.Loc {
-		t.Errorf("public ingress should be the datacenter itself")
+	if public != (PoP{Loc: mumbai.Loc, Country: mumbai.Country}) {
+		t.Errorf("public ingress should be the datacenter itself, got %v", public)
 	}
-	private := w.CloudIngress(IcPrivateTransit, de.Centroid, mumbai)
+	private := w.CloudIngress(IcPrivateTransit, de.Centroid, mumbai).Loc
 	if geo.DistanceKm(de.Centroid, private) > geo.DistanceKm(de.Centroid, mumbai.Loc)+1 {
 		t.Errorf("private ingress should not overshoot the datacenter")
+	}
+}
+
+// TestCloudIngressCountry pins the country CloudIngress hands back to
+// the one a provider-wide nearest-PoP search from the ingress point
+// finds, for every region, interconnect kind and country centroid as
+// the vantage point: the simulator reads the ingress country from the
+// returned PoP instead of searching again.
+func TestCloudIngressCountry(t *testing.T) {
+	w := testWorld(t)
+	for _, r := range w.Inventory.Regions() {
+		for _, c := range geo.AllCountries() {
+			for _, kind := range []Interconnect{IcDirect, IcDirectIXP, IcPrivateTransit, IcPublic} {
+				got := w.CloudIngress(kind, c.Centroid, r)
+				want := r.Country
+				if pop, ok := w.NearestPoP(r.Provider.ASN, got.Loc); ok && pop.Loc == got.Loc {
+					want = pop.Country
+				}
+				if got.Country != want {
+					t.Fatalf("%s from %s (%v): ingress country %s, nearest PoP says %s", r.ID, c.Code, kind, got.Country, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRegionIPIndex pins the index behind RegionIP to its definition:
+// host .10 of the (i+1)-th /24 of the provider's block for the
+// provider's i-th region.
+func TestRegionIPIndex(t *testing.T) {
+	w := testWorld(t)
+	for _, prov := range w.Inventory.Providers() {
+		p, ok := w.Prefix(prov.ASN)
+		if !ok {
+			t.Fatalf("no prefix for %s", prov.Code)
+		}
+		for i, r := range w.Inventory.RegionsOf(prov.Code) {
+			if got, want := w.RegionIP(r), p.Nth(uint64(i+1)*256+10); got != want {
+				t.Fatalf("RegionIP(%s) = %v, want %v", r.ID, got, want)
+			}
+		}
+	}
+	if ip := w.RegionIP(&cloud.Region{ID: "nope-xx-nowhere", Provider: w.Inventory.Providers()[0]}); ip != 0 {
+		t.Errorf("unknown region resolved to %v", ip)
 	}
 }
 
