@@ -31,16 +31,12 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dnssim"
 	"repro/internal/edge"
 	"repro/internal/faults"
-	"repro/internal/geoip"
-	"repro/internal/hloc"
 	"repro/internal/measure"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
 	"repro/internal/probes"
-	"repro/internal/tcping"
 	"repro/internal/world"
 )
 
@@ -193,39 +189,6 @@ var (
 	EvaluateFiveG = edge.Evaluate5G
 	EdgeVerdicts  = edge.Verdicts
 )
-
-// DNS re-exports: the synthetic namespace (region VM hostnames, router
-// rDNS) and its UDP server/client.
-type (
-	DNSZone   = dnssim.Zone
-	DNSServer = dnssim.Server
-	DNSClient = dnssim.Client
-)
-
-// DNS constructors and helpers.
-var (
-	NewDNSZone     = dnssim.NewZone
-	NewDNSServer   = dnssim.NewServer
-	NewDNSClient   = dnssim.NewClient
-	RegionHostname = dnssim.RegionHostname
-)
-
-// Geolocation re-exports: the noisy database, and the HLOC-style hybrid
-// locator that repairs it with rDNS hints.
-type (
-	GeoIPDB       = geoip.DB
-	HybridLocator = hloc.Locator
-)
-
-// Geolocation constructors.
-var (
-	BuildGeoIP       = geoip.Build
-	NewHybridLocator = hloc.New
-)
-
-// TCPPinger measures real TCP-handshake RTTs against live endpoints
-// (§3.3's TCP ping; see cmd/cloudping).
-type TCPPinger = tcping.Pinger
 
 // InferASRelationships runs Gao's relationship-inference algorithm over
 // observed AS paths — the self-validation loop showing the synthetic

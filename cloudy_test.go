@@ -73,28 +73,13 @@ func TestThresholdConstants(t *testing.T) {
 	}
 }
 
-// TestFacadeExtensions exercises the extended public surface: DNS,
-// geolocation, edge what-ifs and relationship inference.
+// TestFacadeExtensions exercises the facade's relationship inference
+// over paths between facade-built world ISPs.
 func TestFacadeExtensions(t *testing.T) {
 	w, err := cloudy.NewWorld(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Naming plane.
-	zone := cloudy.NewDNSZone(w)
-	region := w.Inventory.Regions()[0]
-	if ip, ok := zone.LookupA(cloudy.RegionHostname(region.ID)); !ok || ip != w.RegionIP(region) {
-		t.Error("zone lookup failed through the facade")
-	}
-	// Hybrid geolocation repairs a noisy database.
-	db := cloudy.BuildGeoIP(w, 0.3, 8)
-	locator := cloudy.NewHybridLocator(db, zone)
-	isp := w.AccessISPs("FR")[0]
-	loc, ok := locator.Locate(w.RouterIP(isp.Number, 1))
-	if !ok || loc.Country != "FR" {
-		t.Errorf("hybrid locate = %+v, %v", loc, ok)
-	}
-	// Relationship inference over facade-visible paths.
 	var paths [][]asnNumber
 	for _, a := range w.AccessISPs("FR") {
 		for _, b := range w.AccessISPs("DE") {

@@ -18,15 +18,10 @@ func DefaultConfig() *Config {
 		},
 		Scopes: map[string]Scope{
 			// Everything under internal/ is simulation or analysis code
-			// and must be replayable from a seed, except the packages
-			// that talk to the real network or serve real clients:
+			// and must be replayable from a seed, except:
 			//   - internal/serve: HTTP layer; uptime metrics, cache ages
 			//     and request latency histograms legitimately read real
 			//     time.
-			//   - internal/tcping, internal/icmp: measure RTTs on real
-			//     sockets; the wall clock IS the measurement.
-			//   - internal/dnssim: binds real listeners and needs real
-			//     socket deadlines.
 			//   - internal/obs: the observability layer measures the wall
 			//     clock by design (span durations, obs.Time stopwatches);
 			//     it is the ONE place deterministic packages may route
@@ -36,7 +31,7 @@ func DefaultConfig() *Config {
 			// and may time their own runs.
 			NoRawTime.Name: {
 				Include: []string{"internal"},
-				Exclude: []string{"internal/serve", "internal/tcping", "internal/icmp", "internal/dnssim", "internal/obs"},
+				Exclude: []string{"internal/serve", "internal/obs"},
 			},
 			// The global rand source is forbidden everywhere, CLIs
 			// included: a stray global draw anywhere in the process

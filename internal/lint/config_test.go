@@ -1,7 +1,9 @@
 package lint
 
 import (
+	"io/fs"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -115,10 +117,7 @@ func TestAnalyzerSetPinned(t *testing.T) {
 // DefaultConfig; growing the list is how determinism erodes, so a new
 // exemption must show up here — in review — and not only in config.go.
 func TestNoRawTimeExemptionsPinned(t *testing.T) {
-	want := []string{
-		"internal/serve", "internal/tcping", "internal/icmp",
-		"internal/dnssim", "internal/obs",
-	}
+	want := []string{"internal/serve", "internal/obs"}
 	got := DefaultConfig().Scopes[NoRawTime.Name].Exclude
 	if len(got) != len(want) {
 		t.Fatalf("norawtime Exclude = %v, want exactly %v", got, want)
@@ -128,6 +127,48 @@ func TestNoRawTimeExemptionsPinned(t *testing.T) {
 			t.Errorf("norawtime Exclude[%d] = %s, want %s", i, got[i], want[i])
 		}
 	}
+}
+
+// TestScopesNameExistingPackages keeps the scopes honest as packages
+// come and go: every non-empty Include/Exclude entry must name a
+// directory under the module root with Go files in or beneath it. An
+// entry for a deleted package would otherwise linger as a dead
+// exemption, silently waiting to exempt whatever reuses the name.
+func TestScopesNameExistingPackages(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	for _, az := range cfg.Analyzers {
+		scope := cfg.Scopes[az.Name]
+		for _, list := range [][]string{scope.Include, scope.Exclude} {
+			for _, rel := range list {
+				if rel != "" && !hasGoFiles(filepath.Join(loader.ModRoot, filepath.FromSlash(rel))) {
+					t.Errorf("%s scope names %q, which holds no Go package", az.Name, rel)
+				}
+			}
+		}
+	}
+}
+
+// hasGoFiles reports whether dir exists and has a .go file in it or in
+// any directory beneath it.
+func hasGoFiles(dir string) bool {
+	found := false
+	// A missing or unreadable dir ends the walk with found still false,
+	// which is the answer; the walk error itself adds nothing.
+	_ = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			found = true
+			return fs.SkipAll
+		}
+		return nil
+	})
+	return found
 }
 
 // TestFlowAnalyzersCoverEverything pins the flow-aware analyzers to a

@@ -11,7 +11,6 @@ package pipeline
 import (
 	"repro/internal/asn"
 	"repro/internal/dataset"
-	"repro/internal/netaddr"
 	"repro/internal/world"
 )
 
@@ -121,26 +120,11 @@ type Processed struct {
 	// (Fontugne et al.) as a reason to treat traceroute latencies as
 	// best-case estimates.
 	NonMonotoneHops int
-	// HopCountries lists the geolocated country of each responding
-	// public hop, in path order, when the processor has a Locator.
-	// Entries the locator cannot resolve are empty strings.
-	HopCountries []string
-}
-
-// HopLocator geolocates individual router addresses (the GeoIPLookup
-// stage of §3.3; see internal/geoip and internal/hloc).
-type HopLocator interface {
-	LocateCountry(ip netaddr.IP) (string, bool)
 }
 
 // Processor resolves traceroutes against a world's registries.
 type Processor struct {
 	W *world.World
-	// Locator, when set, annotates each processed trace with per-hop
-	// countries. The paper geolocates hops but deliberately refrains
-	// from routing-geography conclusions because databases are noisy —
-	// the same caveat applies here, which is why this stage is opt-in.
-	Locator HopLocator
 }
 
 // NewProcessor returns a processor over the given world.
@@ -167,10 +151,6 @@ func (pr *Processor) Process(rec *dataset.TracerouteRecord) Processed {
 		publicRouters++
 		if a.Number == providerAS {
 			providerRouters++
-		}
-		if pr.Locator != nil {
-			cc, _ := pr.Locator.LocateCountry(h.IP)
-			out.HopCountries = append(out.HopCountries, cc)
 		}
 		if a.Type == asn.TypeIXP {
 			out.IXPs = append(out.IXPs, a.Number)

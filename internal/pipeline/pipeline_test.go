@@ -262,57 +262,3 @@ func TestProcessAllAndDegenerates(t *testing.T) {
 		t.Errorf("foreign first hop should not infer a last mile, got %v", got.LastMile.Kind)
 	}
 }
-
-type fixedLocator map[uint32]string
-
-func (f fixedLocator) LocateCountry(ip netaddr.IP) (string, bool) {
-	cc, ok := f[uint32(ip)]
-	return cc, ok
-}
-
-func TestHopGeolocationOptIn(t *testing.T) {
-	p := scFleet.InCountry("DE")[0]
-	r := regionOf(t, "GCP", "Frankfurt")
-	tr := testSim.Traceroute(p, r, 0)
-
-	// Without a locator: no annotations.
-	plain := proc.Process(&tr)
-	if plain.HopCountries != nil {
-		t.Errorf("locator-less processing annotated hops: %v", plain.HopCountries)
-	}
-
-	// With a locator that knows every responding public hop.
-	loc := fixedLocator{}
-	publicHops := 0
-	for _, h := range tr.Hops {
-		if h.Responded && !h.IP.IsPrivate() {
-			loc[uint32(h.IP)] = "DE"
-			publicHops++
-		}
-	}
-	annotating := &Processor{W: testW, Locator: loc}
-	got := annotating.Process(&tr)
-	if len(got.HopCountries) != publicHops {
-		t.Fatalf("annotated %d of %d public hops", len(got.HopCountries), publicHops)
-	}
-	for i, cc := range got.HopCountries {
-		if cc != "DE" {
-			t.Errorf("hop %d annotated %q", i, cc)
-		}
-	}
-	// Unknown hops annotate as empty strings, preserving positions.
-	empty := &Processor{W: testW, Locator: fixedLocator{}}
-	got = empty.Process(&tr)
-	if len(got.HopCountries) != publicHops {
-		t.Fatalf("unknown locator annotated %d hops", len(got.HopCountries))
-	}
-	for _, cc := range got.HopCountries {
-		if cc != "" {
-			t.Errorf("unknown hop annotated %q", cc)
-		}
-	}
-	// Classification is unaffected by annotation.
-	if got.Class != plain.Class || got.Intermediates != plain.Intermediates {
-		t.Error("annotation changed classification")
-	}
-}

@@ -172,9 +172,6 @@ func (w *World) ProviderByASN(n asn.Number) (*cloud.Provider, bool) {
 	return p, ok
 }
 
-// PoPs returns the points of presence of an AS.
-func (w *World) PoPs(n asn.Number) []PoP { return w.pops[n] }
-
 // NearestPoP returns the AS's PoP closest to p. ok is false when the AS
 // has no PoPs.
 func (w *World) NearestPoP(n asn.Number, p geo.Point) (PoP, bool) {

@@ -310,10 +310,10 @@ func TestPoPFootprints(t *testing.T) {
 	// providers only sit at their datacenters.
 	gcp, _ := w.Inventory.Provider("GCP")
 	vltr, _ := w.Inventory.Provider("VLTR")
-	if len(w.PoPs(gcp.ASN)) <= len(w.Inventory.RegionsOf("GCP")) {
+	if len(w.pops[gcp.ASN]) <= len(w.Inventory.RegionsOf("GCP")) {
 		t.Error("GCP should have edge PoPs beyond its regions")
 	}
-	if len(w.PoPs(vltr.ASN)) != len(w.Inventory.RegionsOf("VLTR")) {
+	if len(w.pops[vltr.ASN]) != len(w.Inventory.RegionsOf("VLTR")) {
 		t.Error("Vultr PoPs should be exactly its datacenters")
 	}
 	// Alibaba has in-country presence at home but not in, say, Germany.
@@ -480,7 +480,7 @@ func TestCrossSeedInvariants(t *testing.T) {
 		// Every AS with a PoP list places its first PoP in a known
 		// country.
 		for _, a := range w.Registry.All() {
-			for _, pop := range w.PoPs(a.Number) {
+			for _, pop := range w.pops[a.Number] {
 				if _, ok := geo.CountryByCode(pop.Country); !ok {
 					t.Fatalf("seed %d: %v has a PoP in unknown country %q", seed, a.Number, pop.Country)
 				}
