@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json fuzz fuzz-smoke bench bench-smoke bench-check chaos-smoke verify
+.PHONY: build test race vet lint lint-json fuzz fuzz-smoke bench gobench-smoke bench-smoke bench-check chaos-smoke verify
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,12 @@ fuzz-smoke:
 # while you work; the repository's benchmark is ./bench, below.
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
+
+# Every Go benchmark once, one iteration each: proves each still runs
+# to completion (a benchmark that fails at b.N = 1 fails `make bench`
+# too), without measuring anything.
+gobench-smoke:
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # One short pass over every workload of the repository benchmark
 # (BENCHMARK.json): proves each runs end to end and passes its

@@ -389,7 +389,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	tracesPath := fs.String("traces", "", "serve a prior export: traceroute JSONL path (requires -pings)")
 	shards := fs.Int("shards", 0, "store shard count (0 = default)")
 	cacheEntries := fs.Int("cache", 256, "response cache entries")
-	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
+	timeout := fs.Duration("timeout", 5*time.Second, "deadline of a request that runs a query (cache hits carry none)")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	quotaRate := fs.Float64("quota-rate", 0, "per-client quota, requests/s (0 = default 100, negative disables)")
 	quotaBurst := fs.Float64("quota-burst", 0, "per-client burst capacity (0 = 2x rate)")

@@ -5,14 +5,17 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/admit"
 	"repro/internal/serve"
 )
 
 // BenchmarkServeCachedVsCold compares a repeat query answered from the
 // LRU cache against one that must re-run the shard fan-out + merge.
+// Every request comes from one RemoteAddr, so admission stays on with a
+// per-client quota above anything the loop can offer.
 func BenchmarkServeCachedVsCold(b *testing.B) {
 	st, _, _ := fixture(b)
-	srv := serve.New(st, serve.Options{})
+	srv := serve.New(st, serve.Options{Admit: admit.Options{RatePerSec: 1e6, Burst: 1e6}})
 	h := srv.Handler()
 	get := func(path string) int {
 		req := httptest.NewRequest("GET", path, nil)

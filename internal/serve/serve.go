@@ -2,15 +2,15 @@
 // service: the paper's headline figures as versioned endpoints with
 // request coalescing (one store query per key no matter how many
 // concurrent identical requests arrive), a bounded LRU response cache
-// with ETag revalidation, JSON/NDJSON content negotiation, per-request
-// timeouts and graceful drain on shutdown.
+// with ETag revalidation, JSON/NDJSON content negotiation, a deadline
+// on every request that runs a query, and graceful drain on shutdown.
 //
 // Three robustness layers stand between the listener and the store
 // (DESIGN.md §11):
 //
 //   - Admission control (internal/admit): a global concurrency ceiling
-//     sheds excess load with 503 before the TimeoutHandler can burn a
-//     worker on it, and per-client token buckets answer 429 with
+//     sheds excess load with 503 before a request can reach the cache
+//     or start a query, and per-client token buckets answer 429 with
 //     Retry-After once a client outruns its quota.
 //   - The store behind the server is swappable while serving: Swap
 //     atomically replaces the Querier and bumps the store epoch; cache
@@ -37,8 +37,8 @@
 //	/v1/tracez         recent spans and per-stage latency rollups
 //
 // With Options.EnablePprof the standard /debug/pprof/ endpoints mount
-// alongside /v1, outside the per-request timeout (profiles stream for
-// longer than any query is allowed to run).
+// alongside /v1, outside admission and the query deadline (profiles
+// stream for longer than any query is allowed to run).
 package serve
 
 import (
@@ -87,7 +87,10 @@ type Querier interface {
 type Options struct {
 	// CacheEntries bounds the LRU response cache (default 256).
 	CacheEntries int
-	// Timeout bounds each request end-to-end (default 5s).
+	// Timeout bounds each data request that has to run a query: past it
+	// the client gets a 503 while the query finishes in the background
+	// and fills the cache. Cache hits do no work and carry no deadline
+	// (default 5s).
 	Timeout time.Duration
 	// MinMapSamples is the default per-country sample floor of
 	// /v1/latency-map when the request has no min parameter (default 10).
@@ -251,13 +254,13 @@ func (s *Server) Ready() bool {
 }
 
 // Handler returns the routed HTTP handler. The data endpoints sit
-// behind admission control and the per-request timeout, in that order:
-// the concurrency ceiling sheds with a cheap 503 *before* the
-// TimeoutHandler allocates a worker to the request. The control
-// endpoints (healthz, readyz, metricsz) bypass both — an operator must
-// be able to probe and scrape a saturated server — as do the pprof
-// endpoints when enabled (a 30-second CPU profile must outlive a
-// 5-second query budget).
+// behind admission control: the concurrency ceiling sheds with a cheap
+// 503 before a request reaches the cache. Each request is served on its
+// connection's goroutine, and a cached body is written straight to the
+// socket; only a cache miss waits on a deadline (Options.Timeout, see
+// respond). The control endpoints (healthz, readyz, metricsz) bypass
+// admission — an operator must be able to probe, scrape and profile a
+// saturated server — as do the pprof endpoints when enabled.
 func (s *Server) Handler() http.Handler {
 	data := http.NewServeMux()
 	data.HandleFunc("/v1/latency-map", s.handleLatencyMap)
@@ -267,7 +270,7 @@ func (s *Server) Handler() http.Handler {
 	data.HandleFunc("/v1/changepoint", s.handleChangepoint)
 	data.HandleFunc("/v1/statsz", s.handleStatsz)
 	data.HandleFunc("/v1/tracez", s.handleTracez)
-	api := s.withAdmission(http.TimeoutHandler(s.withTrace(data), s.opts.Timeout, `{"error":"request timed out"}`))
+	api := s.withAdmission(s.withTrace(data))
 
 	outer := http.NewServeMux()
 	outer.Handle("/", api)
@@ -692,6 +695,10 @@ func negotiate(r *http.Request) string {
 // epoch prefixes the cache and singleflight keys, so concurrent
 // requests racing a Swap coalesce per-epoch and each one's cache
 // entry, ETag and X-Store-Epoch all describe the same store.
+//
+// A hit is answered at once. A miss waits for its flight at most
+// Options.Timeout and then answers 503 with nothing written before;
+// the flight runs on, fills the cache, and a retry is a hit.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, endpoint, params string, compute func(q Querier) (any, error)) {
 	m := s.metrics.of(endpoint)
 	m.requests.Inc()
@@ -712,7 +719,9 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, endpoint, param
 		return
 	}
 	m.cacheMisses.Inc()
-	res, shared := s.flights.do(key, func() computed {
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
+	defer cancel()
+	res, shared, err := s.flights.do(ctx, key, func() computed {
 		v, err := compute(es.q)
 		if err != nil {
 			return computed{err: err}
@@ -728,6 +737,13 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, endpoint, param
 	if shared {
 		m.coalesced.Inc()
 	}
+	if err != nil {
+		m.errors.Inc()
+		w.Header().Set("Content-Type", ctJSON)
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprintln(w, `{"error":"request timed out"}`)
+		return
+	}
 	if res.err != nil {
 		m.errors.Inc()
 		http.Error(w, `{"error":"internal query failure"}`, http.StatusInternalServerError)
@@ -739,7 +755,9 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, endpoint, param
 // write emits one computed response, honouring If-None-Match. The ETag
 // embeds the store epoch, so a conditional request made before a Swap
 // can never be confirmed against the new store — the tags differ even
-// when the bodies happen to hash alike.
+// when the bodies happen to hash alike. A 200 declares its length and
+// hands the cached bytes to the connection in one Write: no copy, no
+// chunking.
 func (s *Server) write(w http.ResponseWriter, r *http.Request, m *endpointInstruments, res computed, cacheState string) {
 	w.Header().Set("ETag", res.etag)
 	w.Header().Set("Cache-Control", "no-cache") // revalidate via ETag
@@ -751,6 +769,7 @@ func (s *Server) write(w http.ResponseWriter, r *http.Request, m *endpointInstru
 		return
 	}
 	w.Header().Set("Content-Type", res.contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.body)))
 	w.Write(res.body)
 }
 
