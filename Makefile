@@ -30,8 +30,9 @@ lint-json:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Short fuzz pass over the text and binary codecs and the lazily seeded
-# random source (regression corpus + 10s each).
+# Short fuzz pass over the text and binary codecs, the lazily seeded
+# random source and the median's confidence interval (regression
+# corpus + 10s each).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzImportPings -fuzztime=10s ./internal/atlasfmt/
 	$(GO) test -run=NONE -fuzz=FuzzImportTraces -fuzztime=10s ./internal/atlasfmt/
@@ -42,6 +43,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSegmentDecode -fuzztime=10s -fuzzminimizetime=1x ./internal/segment/
 	$(GO) test -run=NONE -fuzz=FuzzSketchMerge -fuzztime=10s -fuzzminimizetime=1x ./internal/sketch/
 	$(GO) test -run=NONE -fuzz=FuzzSource -fuzztime=10s ./internal/detrand/
+	$(GO) test -run=NONE -fuzz=FuzzMedianCI -fuzztime=10s ./internal/stats/
 
 # fuzz-smoke is the pre-merge slice of the fuzz pass: 2s per codec
 # target, enough to replay the corpus and shake out shallow regressions
@@ -58,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSegmentDecode -fuzztime=2s -fuzzminimizetime=1x ./internal/segment/
 	$(GO) test -run=NONE -fuzz=FuzzSketchMerge -fuzztime=2s -fuzzminimizetime=1x ./internal/sketch/
 	$(GO) test -run=NONE -fuzz=FuzzSource -fuzztime=2s ./internal/detrand/
+	$(GO) test -run=NONE -fuzz=FuzzMedianCI -fuzztime=2s ./internal/stats/
 
 # Full Go benchmark suite with allocation stats, including the store
 # fan-out/merge and the serve cached-vs-cold comparison. For measuring

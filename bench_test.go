@@ -96,14 +96,14 @@ func BenchmarkFig3LatencyMap(b *testing.B) {
 	b.ResetTimer()
 	var entries []analysis.CountryLatency
 	for i := 0; i < b.N; i++ {
-		entries = analysis.LatencyMap(s.Store, 10)
+		entries = analysis.CollectStore(s.Store).LatencyMap(10)
 	}
 	b.ReportMetric(float64(len(entries)), "countries")
 }
 
 func BenchmarkTakeawayThresholds(b *testing.B) {
 	s := benchData(b)
-	entries := analysis.LatencyMap(s.Store, 10)
+	entries := analysis.CollectStore(s.Store).LatencyMap(10)
 	b.ResetTimer()
 	var t analysis.ThresholdSummary
 	for i := 0; i < b.N; i++ {
@@ -120,7 +120,7 @@ func BenchmarkFig4ContinentCDF(b *testing.B) {
 	b.ResetTimer()
 	var dists []analysis.ContinentDistribution
 	for i := 0; i < b.N; i++ {
-		dists = analysis.ContinentDistributions(s.Store, "speedchecker")
+		dists = analysis.CollectStore(s.Store).ContinentDistributions("speedchecker")
 	}
 	for _, d := range dists {
 		if d.Continent == geo.EU {
@@ -139,7 +139,7 @@ func BenchmarkFig5PlatformDiff(b *testing.B) {
 	b.ResetTimer()
 	var diffs []analysis.PlatformDiff
 	for i := 0; i < b.N; i++ {
-		diffs = analysis.PlatformComparison(s.Store)
+		diffs = analysis.CollectStore(s.Store).PlatformComparison()
 	}
 	for _, d := range diffs {
 		if d.Continent == geo.AF {
@@ -153,7 +153,7 @@ func BenchmarkFig16MatchedComparison(b *testing.B) {
 	b.ResetTimer()
 	var m []analysis.MatchedDiff
 	for i := 0; i < b.N; i++ {
-		m = analysis.MatchedComparison(s.Store, 3)
+		m = analysis.CollectStore(s.Store).MatchedComparison(3)
 	}
 	b.ReportMetric(float64(len(m)), "matched-continents")
 }
@@ -165,10 +165,11 @@ func BenchmarkFig6InterContinental(b *testing.B) {
 	b.ResetTimer()
 	var af []analysis.InterContinentBox
 	for i := 0; i < b.N; i++ {
-		af = analysis.InterContinental(s.Store,
+		agg := analysis.CollectStore(s.Store)
+		af = agg.InterContinental(
 			[]string{"DZ", "EG", "ET", "KE", "MA", "SN", "TN", "ZA"},
 			[]geo.Continent{geo.EU, geo.NA, geo.AF})
-		analysis.InterContinental(s.Store,
+		agg.InterContinental(
 			[]string{"AR", "BO", "BR", "CL", "CO", "EC", "PE", "VE"},
 			[]geo.Continent{geo.NA, geo.SA})
 	}
@@ -324,7 +325,7 @@ func BenchmarkFig15IcmpVsTcp(b *testing.B) {
 	b.ResetTimer()
 	var rows []analysis.ProtocolComparison
 	for i := 0; i < b.N; i++ {
-		rows = analysis.ProtocolComparisons(s.Store)
+		rows = analysis.CollectStore(s.Store).ProtocolComparisons()
 	}
 	var worst float64
 	for _, r := range rows {
@@ -471,7 +472,7 @@ func BenchmarkProviderConsistency(b *testing.B) {
 	b.ResetTimer()
 	var rows []analysis.ProviderConsistency
 	for i := 0; i < b.N; i++ {
-		rows = analysis.ProviderComparison(s.Store, 10)
+		rows = analysis.CollectStore(s.Store).ProviderComparison(10)
 	}
 	for _, r := range rows {
 		if r.Continent == geo.EU {

@@ -63,8 +63,8 @@ func main() {
 
 	// Same analysis, same answers.
 	imported := dataset.FromRecords(pings, traces)
-	orig := analysis.ContinentDistributions(study.Store, "speedchecker")
-	redo := analysis.ContinentDistributions(imported, "speedchecker")
+	orig := analysis.CollectStore(study.Store).ContinentDistributions("speedchecker")
+	redo := analysis.CollectStore(imported).ContinentDistributions("speedchecker")
 	fmt.Println("\nunder-HPL share per continent, original vs re-imported:")
 	for i := range orig {
 		if i >= len(redo) {

@@ -1,9 +1,11 @@
 // Package analysis computes every table and figure of the paper's
 // evaluation from a collected dataset: the latency geography of §4, the
 // platform comparison of §4.2, the wireless last-mile isolation of §5,
-// and the peering analyses of §6. Each figure has one typed entry point
-// so the benchmark harness and the report renderer share identical
-// results.
+// and the peering analyses of §6. Each figure has one kernel, so the
+// benchmark harness, the report renderer and every store backend share
+// identical results. The distribution figures (3, 4, 5) are written
+// once over stats.Distribution (LatencyMapOf, ...): sorted vectors
+// answer them exactly, the segment reader's t-digests approximately.
 package analysis
 
 import (
@@ -86,18 +88,6 @@ type NearestAssignment struct {
 	Meta map[string]dataset.VantagePoint
 }
 
-// Nearest computes the closest-datacenter assignment from pings of one
-// platform, considering only same-continent targets. Speedchecker uses
-// TCP and ICMP interchangeably, Atlas only TCP, exactly as §3.3
-// prescribes. It is the batch adapter over NearestCollector.
-func Nearest(store *dataset.Store, platform string) NearestAssignment {
-	c := NewNearestCollector(platform)
-	for i := range store.Pings {
-		c.Add(&store.Pings[i])
-	}
-	return c.Finalize()
-}
-
 // ByCountry regroups nearest-DC samples per VP country. The sharded
 // measurement store ingests this regrouping, so it is exported.
 func (na NearestAssignment) ByCountry() map[string][]float64 {
@@ -117,7 +107,8 @@ func (na NearestAssignment) ByContinent() map[geo.Continent][]float64 {
 	return out
 }
 
-func sortedCountries(m map[string][]float64) []string {
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for c := range m {
 		out = append(out, c)

@@ -73,7 +73,7 @@ func testData(t testing.TB) *fixture {
 
 func TestLatencyMapShape(t *testing.T) {
 	f := testData(t)
-	entries := LatencyMap(f.store, 10)
+	entries := CollectStore(f.store).LatencyMap(10)
 	if len(entries) < 80 {
 		t.Fatalf("latency map covers %d countries", len(entries))
 	}
@@ -110,7 +110,7 @@ func TestLatencyMapShape(t *testing.T) {
 
 func TestThresholdTakeaway(t *testing.T) {
 	f := testData(t)
-	entries := LatencyMap(f.store, 10)
+	entries := CollectStore(f.store).LatencyMap(10)
 	s := Thresholds(entries)
 	if s.Countries == 0 {
 		t.Fatal("no countries")
@@ -134,7 +134,7 @@ func TestThresholdTakeaway(t *testing.T) {
 
 func TestContinentDistributions(t *testing.T) {
 	f := testData(t)
-	dists := ContinentDistributions(f.store, "speedchecker")
+	dists := CollectStore(f.store).ContinentDistributions("speedchecker")
 	byCont := map[geo.Continent]ContinentDistribution{}
 	for _, d := range dists {
 		byCont[d.Continent] = d
@@ -167,7 +167,7 @@ func TestContinentDistributions(t *testing.T) {
 
 func TestPlatformComparison(t *testing.T) {
 	f := testData(t)
-	diffs := PlatformComparison(f.store)
+	diffs := CollectStore(f.store).PlatformComparison()
 	byCont := map[geo.Continent]PlatformDiff{}
 	for _, d := range diffs {
 		byCont[d.Continent] = d
@@ -196,7 +196,7 @@ func TestPlatformComparison(t *testing.T) {
 
 func TestMatchedComparison(t *testing.T) {
 	f := testData(t)
-	matched := MatchedComparison(f.store, 3)
+	matched := CollectStore(f.store).MatchedComparison(3)
 	if len(matched) == 0 {
 		t.Fatal("no matched continents")
 	}
@@ -220,7 +220,7 @@ func TestMatchedComparison(t *testing.T) {
 
 func TestProtocolComparisons(t *testing.T) {
 	f := testData(t)
-	rows := ProtocolComparisons(f.store)
+	rows := CollectStore(f.store).ProtocolComparisons()
 	if len(rows) < 5 {
 		t.Fatalf("protocol comparison rows = %d", len(rows))
 	}
@@ -236,7 +236,8 @@ func TestProtocolComparisons(t *testing.T) {
 
 func TestInterContinentalFig6(t *testing.T) {
 	f := testData(t)
-	boxes := InterContinental(f.store,
+	agg := CollectStore(f.store)
+	boxes := agg.InterContinental(
 		[]string{"DZ", "EG", "MA", "KE", "ZA"},
 		[]geo.Continent{geo.AF, geo.EU, geo.NA})
 	get := func(cc string, cont geo.Continent) (InterContinentBox, bool) {
@@ -270,7 +271,7 @@ func TestInterContinentalFig6(t *testing.T) {
 		t.Error("ZA in-continent access should beat Egypt's")
 	}
 	// Fig 6b: Bolivia's two options are comparable.
-	sa := InterContinental(f.store, []string{"BO", "BR", "CO"}, []geo.Continent{geo.SA, geo.NA})
+	sa := agg.InterContinental([]string{"BO", "BR", "CO"}, []geo.Continent{geo.SA, geo.NA})
 	var boSA, boNA, coSA, coNA InterContinentBox
 	for _, b := range sa {
 		switch {
@@ -319,7 +320,7 @@ func TestDensitySummaries(t *testing.T) {
 
 func TestLatencyMapConfidenceIntervals(t *testing.T) {
 	f := testData(t)
-	for _, e := range LatencyMap(f.store, 10) {
+	for _, e := range CollectStore(f.store).LatencyMap(10) {
 		if !(e.CILowMs <= e.MedianMs && e.MedianMs <= e.CIHighMs) {
 			t.Errorf("%s: CI [%v,%v] does not bracket median %v", e.Country, e.CILowMs, e.CIHighMs, e.MedianMs)
 		}
@@ -411,7 +412,7 @@ func TestNearestSemantics(t *testing.T) {
 	store.AddPing(mk("p3", "atlas", "e", dataset.TCP, 30))
 	store.AddPing(mk("p3", "atlas", "f", dataset.TCP, 20))
 
-	sc := Nearest(store, "speedchecker")
+	sc := CollectStore(store).Nearest("speedchecker")
 	if sc.Region["p1"] != "b" {
 		t.Errorf("p1 nearest = %q, want b", sc.Region["p1"])
 	}
@@ -421,7 +422,7 @@ func TestNearestSemantics(t *testing.T) {
 	if sc.Region["p2"] != "c" {
 		t.Errorf("p2 tie-break = %q, want c", sc.Region["p2"])
 	}
-	at := Nearest(store, "atlas")
+	at := CollectStore(store).Nearest("atlas")
 	if at.Region["p3"] != "f" {
 		t.Errorf("p3 (atlas) nearest = %q, want f (ICMP excluded)", at.Region["p3"])
 	}

@@ -12,11 +12,9 @@ import (
 
 // This file is the single-pass core of the analysis package: one scan
 // over a ping stream accumulates every grouped aggregate the figure
-// functions need, so a report costs one pass instead of seven. The
-// batch *dataset.Store entry points (Nearest, InterContinental, ...)
-// are thin adapters over the same collectors and produce bit-identical
-// results: per-group Welford sums and sample lists accumulate in stream
-// order, exactly as the old per-figure scans did in store order.
+// functions need, so a report costs one pass instead of seven. A
+// materialized *dataset.Store goes through the same scan (CollectStore):
+// per-group Welford sums and sample lists accumulate in stream order.
 
 // NearestCollector accumulates the closest-datacenter assignment of one
 // platform incrementally. Feed every record through Add (non-matching
@@ -477,18 +475,27 @@ func (a *Aggregates) MatchedComparison(minGroups int) []MatchedDiff {
 	return MatchedComparisonFrom(a.Nearest("speedchecker"), a.Nearest("atlas"), minGroups)
 }
 
-// ProtocolComparisons computes Figure 15.
+// ProtocolComparisons computes Figure 15. Comparing matched
+// <country, datacenter> pairs (rather than pooled samples) is what the
+// paper does, and it keeps the comparison meaningful on continents with
+// strongly multi-modal latency.
 func (a *Aggregates) ProtocolComparisons() []ProtocolComparison {
 	return a.protos.comparisons()
 }
 
-// ProviderComparison computes the per-continent provider consistency.
+// ProviderComparison computes per-continent provider consistency from
+// Speedchecker TCP pings towards each probe's nearest same-continent
+// region of every provider. Providers with fewer than minSamples
+// samples on a continent are skipped.
 func (a *Aggregates) ProviderComparison(minSamples int) []ProviderConsistency {
 	return a.providers.consistency(minSamples)
 }
 
-// InterContinental computes Figure 6a/6b for the given VP countries and
-// target continents.
+// InterContinental computes Figure 6a/6b: for each listed VP country,
+// the distribution of RTTs towards the closest DC on each target
+// continent — "closest" per <country, target continent> as the region
+// with the lowest mean RTT. All Speedchecker samples (both protocols,
+// as the paper uses all recorded measurements here) are included.
 func (a *Aggregates) InterContinental(countries []string, targets []geo.Continent) []InterContinentBox {
 	return a.inter.boxes(countries, targets)
 }

@@ -37,14 +37,14 @@ func BenchmarkStreamingVsMaterialized(b *testing.B) {
 				b.Fatal(err)
 			}
 			ds := dataset.FromRecords(pings, nil)
-			_ = LatencyMap(ds, 10)
-			_ = ContinentDistributions(ds, "speedchecker")
-			_ = ContinentDistributions(ds, "atlas")
-			_ = PlatformComparison(ds)
-			_ = MatchedComparison(ds, 3)
-			_ = ProtocolComparisons(ds)
-			_ = ProviderComparison(ds, 5)
-			_ = InterContinental(ds, africa, africaTargets)
+			_ = CollectStore(ds).LatencyMap(10)
+			_ = CollectStore(ds).ContinentDistributions("speedchecker")
+			_ = CollectStore(ds).ContinentDistributions("atlas")
+			_ = CollectStore(ds).PlatformComparison()
+			_ = CollectStore(ds).MatchedComparison(3)
+			_ = CollectStore(ds).ProtocolComparisons()
+			_ = CollectStore(ds).ProviderComparison(5)
+			_ = CollectStore(ds).InterContinental(africa, africaTargets)
 		}
 	})
 	b.Run("streaming", func(b *testing.B) {

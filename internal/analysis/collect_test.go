@@ -2,74 +2,115 @@ package analysis
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/stats"
 )
 
-// TestCollectMatchesBatch proves the single-pass core: one Collect scan
-// over the campaign's pings must reproduce every batch figure
-// bit-identically — same Welford accumulation order, same tie-breaks,
-// same sample-list order.
+// TestCollectMatchesBatch checks the Figure 3–5 kernels a Collect pass
+// feeds against plain batch arithmetic over the same nearest-DC
+// vectors: a copy-and-sort median, the order statistics at
+// stats.MedianCIRank, counted threshold shares and per-centile quantile
+// differences, all bit for bit.
 func TestCollectMatchesBatch(t *testing.T) {
 	f := testData(t)
 	agg, err := Collect(f.store.PingSource())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sorted := func(xs []float64) []float64 {
+		s := append([]float64(nil), xs...)
+		sort.Float64s(s)
+		return s
+	}
+	quantile := func(xs []float64, q float64) float64 {
+		v, err := stats.Quantile(xs, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	share := func(xs []float64, limit float64) float64 {
+		k := 0
+		for _, x := range xs {
+			if x <= limit {
+				k++
+			}
+		}
+		return float64(k) / float64(len(xs))
+	}
+
+	const minSamples = 10
+	byCountry := agg.Nearest("speedchecker").ByCountry()
+	var want []CountryLatency
+	for cc, xs := range byCountry {
+		c, ok := geo.CountryByCode(cc)
+		if !ok || len(xs) < minSamples {
+			continue
+		}
+		s := sorted(xs)
+		j := stats.MedianCIRank(len(s))
+		med := quantile(xs, 0.5)
+		want = append(want, CountryLatency{
+			Country: cc, Continent: c.Continent, MedianMs: med,
+			CILowMs: s[j-1], CIHighMs: s[len(s)-j],
+			Band: BandOf(med), Samples: len(s),
+		})
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Country < want[j].Country })
+	if got := agg.LatencyMap(minSamples); len(want) == 0 || !reflect.DeepEqual(want, got) {
+		t.Fatalf("LatencyMap diverges from the batch medians and intervals (%d batch rows, %d collected)", len(want), len(got))
+	}
 
 	for _, platform := range []string{"speedchecker", "atlas"} {
-		na := Nearest(f.store, platform)
-		got := agg.Nearest(platform)
-		if !reflect.DeepEqual(na.Region, got.Region) {
-			t.Fatalf("%s: Nearest regions diverge", platform)
+		byCont := agg.Nearest(platform).ByContinent()
+		got := agg.ContinentDistributions(platform)
+		if len(got) != len(byCont) {
+			t.Fatalf("%s: %d continent curves, want %d", platform, len(got), len(byCont))
 		}
-		if !reflect.DeepEqual(na.Samples, got.Samples) {
-			t.Fatalf("%s: Nearest samples diverge", platform)
-		}
-		if !reflect.DeepEqual(na.Meta, got.Meta) {
-			t.Fatalf("%s: Nearest meta diverges", platform)
+		for _, d := range got {
+			xs := byCont[d.Continent]
+			if d.N != len(xs) || d.CDF.N() != len(xs) {
+				t.Fatalf("%s %v: N = %d (curve %d), want %d", platform, d.Continent, d.N, d.CDF.N(), len(xs))
+			}
+			if d.UnderMTP != share(xs, MTPms) || d.UnderHPL != share(xs, HPLms) || d.UnderHRT != share(xs, HRTms) {
+				t.Fatalf("%s %v: threshold shares diverge from counting", platform, d.Continent)
+			}
 		}
 	}
 
-	if want, got := LatencyMap(f.store, 10), agg.LatencyMap(10); !reflect.DeepEqual(want, got) {
-		t.Fatal("LatencyMap diverges")
+	sc, at := agg.Nearest("speedchecker").ByContinent(), agg.Nearest("atlas").ByContinent()
+	diffs := agg.PlatformComparison()
+	if len(diffs) == 0 {
+		t.Fatal("no continent sampled by both platforms")
 	}
-	for _, platform := range []string{"speedchecker", "atlas"} {
-		want := ContinentDistributions(f.store, platform)
-		if got := agg.ContinentDistributions(platform); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: ContinentDistributions diverge", platform)
+	for _, d := range diffs {
+		xs, ys := sc[d.Continent], at[d.Continent]
+		if d.NSC != len(xs) || d.NAtlas != len(ys) || len(d.Diffs) != 99 {
+			t.Fatalf("%v: sizes (%d, %d, %d diffs) diverge", d.Continent, d.NSC, d.NAtlas, len(d.Diffs))
 		}
-	}
-	if want, got := PlatformComparison(f.store), agg.PlatformComparison(); !reflect.DeepEqual(want, got) {
-		t.Fatal("PlatformComparison diverges")
-	}
-	if want, got := MatchedComparison(f.store, 3), agg.MatchedComparison(3); !reflect.DeepEqual(want, got) {
-		t.Fatal("MatchedComparison diverges")
-	}
-	if want, got := ProtocolComparisons(f.store), agg.ProtocolComparisons(); !reflect.DeepEqual(want, got) {
-		t.Fatal("ProtocolComparisons diverge")
-	}
-	if want, got := ProviderComparison(f.store, 5), agg.ProviderComparison(5); !reflect.DeepEqual(want, got) {
-		t.Fatal("ProviderComparison diverges")
-	}
-
-	countries := []string{"DE", "BR", "JP", "ZA"}
-	targets := []geo.Continent{geo.EU, geo.NA, geo.AS}
-	want := InterContinental(f.store, countries, targets)
-	if got := agg.InterContinental(countries, targets); !reflect.DeepEqual(want, got) {
-		t.Fatal("InterContinental diverges")
-	}
-	// A second query with a different filter must work off the same
-	// collection (the filter is applied at query time).
-	want2 := InterContinental(f.store, []string{"AU"}, []geo.Continent{geo.OC, geo.AS})
-	if got := agg.InterContinental([]string{"AU"}, []geo.Continent{geo.OC, geo.AS}); !reflect.DeepEqual(want2, got) {
-		t.Fatal("second InterContinental query diverges")
+		atlasFaster := 0
+		for i, diff := range d.Diffs {
+			q := float64(i+1) / 100
+			if want := quantile(xs, q) - quantile(ys, q); diff != want {
+				t.Fatalf("%v: centile %d diff = %v, want %v", d.Continent, i+1, diff, want)
+			}
+			if diff > 0 {
+				atlasFaster++
+			}
+		}
+		if want := float64(atlasFaster) / 99; d.AtlasFasterShare != want {
+			t.Fatalf("%v: AtlasFasterShare = %v, want %v", d.Continent, d.AtlasFasterShare, want)
+		}
 	}
 }
 
-// TestCollectStoreMatchesCollect checks the batch adapter is the same
-// single pass.
+// TestCollectStoreMatchesCollect proves the single-pass core: one
+// Collect scan over the campaign's ping stream and CollectStore over
+// the materialized pings must agree on every figure bit for bit — same
+// Welford accumulation order, same tie-breaks, same sample-list order.
 func TestCollectStoreMatchesCollect(t *testing.T) {
 	f := testData(t)
 	fromSrc, err := Collect(f.store.PingSource())
@@ -77,10 +118,48 @@ func TestCollectStoreMatchesCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 	fromStore := CollectStore(f.store)
-	if want, got := fromSrc.LatencyMap(10), fromStore.LatencyMap(10); !reflect.DeepEqual(want, got) {
-		t.Fatal("CollectStore LatencyMap diverges from Collect")
+
+	for _, platform := range []string{"speedchecker", "atlas"} {
+		want, got := fromStore.Nearest(platform), fromSrc.Nearest(platform)
+		if !reflect.DeepEqual(want.Region, got.Region) {
+			t.Fatalf("%s: Nearest regions diverge", platform)
+		}
+		if !reflect.DeepEqual(want.Samples, got.Samples) {
+			t.Fatalf("%s: Nearest samples diverge", platform)
+		}
+		if !reflect.DeepEqual(want.Meta, got.Meta) {
+			t.Fatalf("%s: Nearest meta diverges", platform)
+		}
+		if !reflect.DeepEqual(fromStore.ContinentDistributions(platform), fromSrc.ContinentDistributions(platform)) {
+			t.Fatalf("%s: ContinentDistributions diverge", platform)
+		}
 	}
-	if want, got := fromSrc.ProtocolComparisons(), fromStore.ProtocolComparisons(); !reflect.DeepEqual(want, got) {
-		t.Fatal("CollectStore ProtocolComparisons diverge from Collect")
+	if !reflect.DeepEqual(fromStore.LatencyMap(10), fromSrc.LatencyMap(10)) {
+		t.Fatal("LatencyMap diverges")
+	}
+	if !reflect.DeepEqual(fromStore.PlatformComparison(), fromSrc.PlatformComparison()) {
+		t.Fatal("PlatformComparison diverges")
+	}
+	if !reflect.DeepEqual(fromStore.MatchedComparison(3), fromSrc.MatchedComparison(3)) {
+		t.Fatal("MatchedComparison diverges")
+	}
+	if !reflect.DeepEqual(fromStore.ProtocolComparisons(), fromSrc.ProtocolComparisons()) {
+		t.Fatal("ProtocolComparisons diverge")
+	}
+	if !reflect.DeepEqual(fromStore.ProviderComparison(5), fromSrc.ProviderComparison(5)) {
+		t.Fatal("ProviderComparison diverges")
+	}
+	// Two InterContinental queries with different filters must both work
+	// off the same collection (the filter is applied at query time).
+	for _, q := range []struct {
+		countries []string
+		targets   []geo.Continent
+	}{
+		{[]string{"DE", "BR", "JP", "ZA"}, []geo.Continent{geo.EU, geo.NA, geo.AS}},
+		{[]string{"AU"}, []geo.Continent{geo.OC, geo.AS}},
+	} {
+		if !reflect.DeepEqual(fromStore.InterContinental(q.countries, q.targets), fromSrc.InterContinental(q.countries, q.targets)) {
+			t.Fatalf("InterContinental(%v, %v) diverges", q.countries, q.targets)
+		}
 	}
 }

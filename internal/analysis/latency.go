@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
-	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/stats"
 )
@@ -14,8 +11,9 @@ type CountryLatency struct {
 	Country   string
 	Continent geo.Continent
 	MedianMs  float64
-	// CILowMs and CIHighMs bound the median at 95% confidence
-	// (percentile bootstrap) — the per-country counterpart of the
+	// CILowMs and CIHighMs bound the median at 95% confidence: the
+	// order statistics x_(j), x_(n+1−j) of stats.MedianCI, estimated at
+	// the same ranks on a sketch — the per-country counterpart of the
 	// paper's §3.3 sample-size requirement.
 	CILowMs  float64
 	CIHighMs float64
@@ -23,42 +21,43 @@ type CountryLatency struct {
 	Samples  int
 }
 
-// LatencyMap computes Figure 3 from Speedchecker TCP pings. Countries
-// with fewer than minSamples nearest-DC samples are skipped (the paper
-// required at least 100 probes per country).
-func LatencyMap(store *dataset.Store, minSamples int) []CountryLatency {
-	return LatencyMapFrom(Nearest(store, "speedchecker").ByCountry(), minSamples)
+// LatencyMapFrom computes Figure 3 from per-country nearest-DC sample
+// sets, however they were materialized — a one-pass Collect or the
+// sharded measurement store's merged vectors. Each set is copied and
+// sorted first, so the answer cannot depend on sample order.
+func LatencyMapFrom(byCountry map[string][]float64, minSamples int) []CountryLatency {
+	sorted := make(map[string]stats.Sorted, len(byCountry))
+	for cc, xs := range byCountry {
+		if len(xs) >= minSamples {
+			sorted[cc] = stats.SortedCopy(xs)
+		}
+	}
+	return LatencyMapOf(sorted, minSamples)
 }
 
-// LatencyMapFrom computes Figure 3 from per-country nearest-DC sample
-// sets, however they were materialized — the batch Nearest pass above
-// or the sharded measurement store's merged vectors. Samples are
-// canonicalized to ascending order first, so both producers yield
-// bit-identical maps (the bootstrap resamples by index).
-func LatencyMapFrom(byCountry map[string][]float64, minSamples int) []CountryLatency {
+// LatencyMapOf is the Figure 3 kernel over any representation of the
+// per-country distributions: countries with fewer than minSamples
+// samples are skipped (the paper required at least 100 probes per
+// country), the rest report their median and its 95 % order-statistic
+// interval, in country-code order.
+func LatencyMapOf[D stats.Distribution](byCountry map[string]D, minSamples int) []CountryLatency {
 	var out []CountryLatency
-	for _, cc := range sortedCountries(byCountry) {
-		if len(byCountry[cc]) < minSamples {
-			continue
-		}
-		xs := append([]float64(nil), byCountry[cc]...)
-		sort.Float64s(xs)
-		med, err := stats.MedianSorted(xs)
-		if err != nil {
+	for _, cc := range sortedKeys(byCountry) {
+		d := byCountry[cc]
+		n := d.N()
+		if n == 0 || n < minSamples {
 			continue
 		}
 		c, ok := geo.CountryByCode(cc)
 		if !ok {
 			continue
 		}
-		lo, hi, err := stats.BootstrapMedianCI(xs, 200, 0.95, int64(len(xs)))
-		if err != nil {
-			lo, hi = med, med
-		}
+		med := d.Quantile(0.5)
+		lo, hi := stats.MedianCI(d)
 		out = append(out, CountryLatency{
 			Country: cc, Continent: c.Continent,
 			MedianMs: med, CILowMs: lo, CIHighMs: hi,
-			Band: BandOf(med), Samples: len(xs),
+			Band: BandOf(med), Samples: n,
 		})
 	}
 	return out
@@ -100,30 +99,30 @@ type ContinentDistribution struct {
 	N                            int
 }
 
-// ContinentDistributions computes Figure 4 for one platform.
-func ContinentDistributions(store *dataset.Store, platform string) []ContinentDistribution {
-	return ContinentDistributionsFrom(Nearest(store, platform).ByContinent())
+// ContinentDistributionsFrom computes Figure 4 from per-continent
+// nearest-DC sample sets, each copied and sorted first.
+func ContinentDistributionsFrom(byCont map[geo.Continent][]float64) []ContinentDistribution {
+	sorted := make(map[string]stats.Sorted, len(byCont))
+	for cont, xs := range byCont {
+		sorted[cont.String()] = stats.SortedCopy(xs)
+	}
+	return ContinentDistributionsOf(sorted)
 }
 
-// ContinentDistributionsFrom computes Figure 4 from per-continent
-// nearest-DC sample sets. The CDF constructor sorts internally, so the
-// result is independent of sample order and identical between the batch
-// and store-backed paths.
-func ContinentDistributionsFrom(byCont map[geo.Continent][]float64) []ContinentDistribution {
+// ContinentDistributionsOf is the Figure 4 kernel: per continent, keyed
+// by its name, the plottable CDF and the shares under each QoE
+// threshold.
+func ContinentDistributionsOf[D stats.Distribution](byCont map[string]D) []ContinentDistribution {
 	var out []ContinentDistribution
 	for _, cont := range geo.Continents() {
-		xs := byCont[cont]
-		if len(xs) == 0 {
-			continue
-		}
-		cdf, err := stats.NewCDF(xs)
-		if err != nil {
+		d, ok := byCont[cont.String()]
+		if !ok || d.N() == 0 {
 			continue
 		}
 		out = append(out, ContinentDistribution{
-			Continent: cont, CDF: cdf,
-			UnderMTP: cdf.At(MTPms), UnderHPL: cdf.At(HPLms), UnderHRT: cdf.At(HRTms),
-			N: len(xs),
+			Continent: cont, CDF: d.Curve(),
+			UnderMTP: d.CDF(MTPms), UnderHPL: d.CDF(HPLms), UnderHRT: d.CDF(HRTms),
+			N: d.N(),
 		})
 	}
 	return out
@@ -135,20 +134,6 @@ type InterContinentBox struct {
 	Country         string
 	TargetContinent geo.Continent
 	Box             stats.FiveNum
-}
-
-// InterContinental computes Figure 6a/6b: for each listed VP country,
-// the distribution of RTTs towards the closest DC on each target
-// continent — "closest" per <country, target continent> as the region
-// with the lowest mean RTT. All Speedchecker samples (both protocols,
-// as the paper uses all recorded measurements here) are included. It is
-// the batch adapter over the single-pass inter-continent collector.
-func InterContinental(store *dataset.Store, countries []string, targets []geo.Continent) []InterContinentBox {
-	c := newInterCollector()
-	for i := range store.Pings {
-		c.add(&store.Pings[i])
-	}
-	return c.boxes(countries, targets)
 }
 
 func containsString(s []string, v string) bool {

@@ -365,7 +365,7 @@ func TestCaseStudyLatencySynthetic(t *testing.T) {
 
 func TestProviderConsistency(t *testing.T) {
 	f := testData(t)
-	rows := ProviderComparison(f.store, 10)
+	rows := CollectStore(f.store).ProviderComparison(10)
 	if len(rows) < 4 {
 		t.Fatalf("provider consistency rows = %d", len(rows))
 	}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"sort"
 
-	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/stats"
 )
@@ -37,37 +36,39 @@ var (
 	ventiles = percentileGrid(5, 95, 5) // Figure 16: 5th..95th by 5
 )
 
-// PlatformComparison computes Figure 5. The two platforms measure from
-// different probes, so the comparison matches distributions percentile
-// by percentile, the standard approach for unpaired samples.
-func PlatformComparison(store *dataset.Store) []PlatformDiff {
-	return PlatformComparisonFrom(
-		Nearest(store, "speedchecker").ByContinent(),
-		Nearest(store, "atlas").ByContinent())
+// PlatformComparisonFrom computes Figure 5 from per-continent
+// nearest-DC sample sets of the two platforms. A continent sampled on
+// both is copied and sorted once per platform for all 99 percentiles.
+func PlatformComparisonFrom(sc, at map[geo.Continent][]float64) []PlatformDiff {
+	scs := make(map[string]stats.Sorted, len(sc))
+	ats := make(map[string]stats.Sorted, len(at))
+	for cont, xs := range sc {
+		if ys := at[cont]; len(xs) > 0 && len(ys) > 0 {
+			scs[cont.String()], ats[cont.String()] = stats.SortedCopy(xs), stats.SortedCopy(ys)
+		}
+	}
+	return PlatformComparisonOf(scs, ats)
 }
 
-// PlatformComparisonFrom computes Figure 5 from per-continent
-// nearest-DC sample sets of the two platforms. Each sample set is
-// sorted exactly once for all 99 percentiles (Quantiles), not per
-// percentile as the old per-q loop did.
-func PlatformComparisonFrom(sc, at map[geo.Continent][]float64) []PlatformDiff {
+// PlatformComparisonOf is the Figure 5 kernel over per-continent
+// distributions keyed by continent name. The two platforms measure from
+// different probes, so the comparison matches distributions percentile
+// by percentile, the standard approach for unpaired samples.
+func PlatformComparisonOf[D stats.Distribution](sc, at map[string]D) []PlatformDiff {
 	var out []PlatformDiff
+	bs := make([]float64, 0, len(centiles))
 	for _, cont := range geo.Continents() {
-		xs, ys := sc[cont], at[cont]
-		if len(xs) == 0 || len(ys) == 0 {
+		a, ok1 := sc[cont.String()]
+		b, ok2 := at[cont.String()]
+		if !ok1 || !ok2 || a.N() == 0 || b.N() == 0 {
 			continue
 		}
-		d := PlatformDiff{Continent: cont, NSC: len(xs), NAtlas: len(ys)}
-		as, err1 := stats.Quantiles(xs, centiles...)
-		bs, err2 := stats.Quantiles(ys, centiles...)
-		if err1 != nil || err2 != nil {
-			continue
-		}
+		d := PlatformDiff{Continent: cont, NSC: a.N(), NAtlas: b.N()}
+		d.Diffs = a.Quantiles(make([]float64, 0, len(centiles)), centiles)
 		atlasFaster := 0
-		for i := range as {
-			diff := as[i] - bs[i]
-			d.Diffs = append(d.Diffs, diff)
-			if diff > 0 {
+		for i, qb := range b.Quantiles(bs[:0], centiles) {
+			d.Diffs[i] -= qb
+			if d.Diffs[i] > 0 {
 				atlasFaster++
 			}
 		}
@@ -88,18 +89,10 @@ type MatchedDiff struct {
 	MatchedGroups int
 }
 
-// MatchedComparison computes Figure 16. minGroups is the minimum number
-// of matched <country, ISP> groups per continent (the paper found
-// enough only in EU, NA and AS).
-func MatchedComparison(store *dataset.Store, minGroups int) []MatchedDiff {
-	return MatchedComparisonFrom(
-		Nearest(store, "speedchecker"),
-		Nearest(store, "atlas"), minGroups)
-}
-
 // MatchedComparisonFrom computes Figure 16 from the two platforms'
-// nearest-DC assignments, however they were produced — batch Nearest
-// scans or one single-pass Collect.
+// nearest-DC assignments. minGroups is the minimum number of matched
+// <country, ISP> groups per continent (the paper found enough only in
+// EU, NA and AS).
 func MatchedComparisonFrom(scNA, atNA NearestAssignment, minGroups int) []MatchedDiff {
 	type group struct {
 		country string
@@ -173,17 +166,4 @@ type ProtocolComparison struct {
 	// percent; §3.3 reports it within about 2% on Speedchecker.
 	MedianGapPct float64
 	Pairs        int
-}
-
-// ProtocolComparisons computes Figure 15. Comparing matched
-// <country, datacenter> pairs (rather than pooled samples) is what the
-// paper does, and it keeps the comparison meaningful on continents with
-// strongly multi-modal latency. It is the batch adapter over the
-// single-pass protocol collector.
-func ProtocolComparisons(store *dataset.Store) []ProtocolComparison {
-	c := newProtoCollector()
-	for i := range store.Pings {
-		c.add(&store.Pings[i])
-	}
-	return c.comparisons()
 }

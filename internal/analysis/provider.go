@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"repro/internal/dataset"
 	"repro/internal/geo"
 	"repro/internal/stats"
 )
@@ -26,17 +25,4 @@ type ProviderConsistency struct {
 	// MaxKS is the largest two-sample KS distance between any provider
 	// pair's distributions — 0 means identical, 1 disjoint.
 	MaxKS float64
-}
-
-// ProviderComparison computes per-continent provider consistency from
-// Speedchecker TCP pings towards each probe's nearest same-continent
-// region of every provider. Providers with fewer than minSamples
-// samples on a continent are skipped. It is the batch adapter over the
-// single-pass provider collector.
-func ProviderComparison(store *dataset.Store, minSamples int) []ProviderConsistency {
-	c := newProviderCollector()
-	for i := range store.Pings {
-		c.add(&store.Pings[i])
-	}
-	return c.consistency(minSamples)
 }

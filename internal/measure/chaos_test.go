@@ -88,7 +88,7 @@ func checkLossIdentity(t *testing.T, st Stats) {
 // f3Medians computes the Figure 3 per-country median map.
 func f3Medians(store *dataset.Store) map[string]float64 {
 	out := map[string]float64{}
-	for _, e := range analysis.LatencyMap(store, 5) {
+	for _, e := range analysis.CollectStore(store).LatencyMap(5) {
 		out[e.Country] = e.MedianMs
 	}
 	return out

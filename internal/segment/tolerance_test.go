@@ -12,7 +12,7 @@ import (
 // hundred (country×provider×partition) to tens of thousands
 // (continent), so the δ=200 digest holds rank error ~1% mid-quantile.
 const (
-	epsLatencyMedianRel = 0.01 // Figure 3 medians: ≤1% relative
+	epsLatencyMedianRel = 0.01 // Figure 3 medians and their CI bounds: ≤1% relative
 	epsCDFFraction      = 0.02 // Figure 4 threshold fractions: ≤0.02 absolute
 	epsCDFCurve         = 0.03 // Figure 4 curve, sampled: ≤0.03 absolute probability
 	epsDiffMs           = 3.0  // Figure 5 per-centile diffs: ≤3 ms absolute
@@ -93,9 +93,15 @@ func compareFigures(t *testing.T, shards, parts int, w store.Window, exact, appr
 		if em[i].Country != am[i].Country || em[i].Samples != am[i].Samples {
 			t.Fatalf("shards=%d parts=%d w=%+v: latency map row %d identity mismatch", shards, parts, w, i)
 		}
-		if r := relErr(am[i].MedianMs, em[i].MedianMs); r > epsLatencyMedianRel {
-			t.Errorf("shards=%d parts=%d w=%+v: %s median rel err %.4f > %.4f",
-				shards, parts, w, em[i].Country, r, epsLatencyMedianRel)
+		for name, pair := range map[string][2]float64{
+			"median_ms":  {am[i].MedianMs, em[i].MedianMs},
+			"ci_low_ms":  {am[i].CILowMs, em[i].CILowMs},
+			"ci_high_ms": {am[i].CIHighMs, em[i].CIHighMs},
+		} {
+			if r := relErr(pair[0], pair[1]); r > epsLatencyMedianRel {
+				t.Errorf("shards=%d parts=%d w=%+v: %s %s rel err %.4f > %.4f",
+					shards, parts, w, em[i].Country, name, r, epsLatencyMedianRel)
+			}
 		}
 	}
 	// Figure 4: continent CDFs, both platforms.

@@ -206,8 +206,8 @@ var wireGolden = []struct {
 	len          int
 	sha256       string
 }{
-	{"/v1/latency-map", "", `"e1-1a5185bcfa80c5f7"`, 479,
-		"9941485e506e0a4ecdee07a042d1bdc0a795768047f90dd0d3620709e33adb08"},
+	{"/v1/latency-map", "", `"e1-e364de1400831915"`, 481,
+		"24d53ca687ef825ea49dd3c6335bda2b4e15744f095834e89340a00458c47a23"},
 	{"/v1/cdf?points=512", "", `"e1-fcc55794cdbb469b"`, 35746,
 		"2ff30f735f30e8d00519cd360e69811d8038caa6800e3249b1bfd6bdd01ccb4b"},
 	{"/v1/cdf?points=512", "application/x-ndjson", `"e1-8f2bcb590e4b75b2"`, 35744,

@@ -129,13 +129,13 @@ func TestEndpointsMatchBatchAnalysis(t *testing.T) {
 
 	var gotMap []serve.LatencyMapEntry
 	getJSON(t, h, "/v1/latency-map?min=10", &gotMap)
-	if want := serve.LatencyMapDTO(analysis.LatencyMap(ds, 10)); !reflect.DeepEqual(gotMap, want) {
+	if want := serve.LatencyMapDTO(analysis.CollectStore(ds).LatencyMap(10)); !reflect.DeepEqual(gotMap, want) {
 		t.Errorf("latency-map diverges from batch analysis:\ngot  %+v\nwant %+v", gotMap, want)
 	}
 
 	var gotCDF []serve.CDFEntry
 	getJSON(t, h, "/v1/cdf?platform=speedchecker&points=32", &gotCDF)
-	if want := serve.CDFDTO(analysis.ContinentDistributions(ds, "speedchecker"), 32); !reflect.DeepEqual(gotCDF, want) {
+	if want := serve.CDFDTO(analysis.CollectStore(ds).ContinentDistributions("speedchecker"), 32); !reflect.DeepEqual(gotCDF, want) {
 		t.Errorf("cdf diverges from batch analysis")
 	}
 
@@ -147,7 +147,7 @@ func TestEndpointsMatchBatchAnalysis(t *testing.T) {
 
 	var gotDiff []serve.PlatformDiffEntry
 	getJSON(t, h, "/v1/platform-diff", &gotDiff)
-	if want := serve.PlatformDiffDTO(analysis.PlatformComparison(ds)); !reflect.DeepEqual(gotDiff, want) {
+	if want := serve.PlatformDiffDTO(analysis.CollectStore(ds).PlatformComparison()); !reflect.DeepEqual(gotDiff, want) {
 		t.Errorf("platform-diff diverges from batch analysis")
 	}
 
@@ -237,7 +237,7 @@ func TestNDJSONNegotiation(t *testing.T) {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	lines := strings.Split(strings.TrimRight(rec.Body.String(), "\n"), "\n")
-	want := analysis.LatencyMap(ds, 10)
+	want := analysis.CollectStore(ds).LatencyMap(10)
 	if len(lines) != len(want) {
 		t.Fatalf("%d NDJSON lines, want %d", len(lines), len(want))
 	}

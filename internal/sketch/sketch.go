@@ -18,9 +18,10 @@
 // Sharing. A sketch that came out of Decode, Merge or Merged holds no
 // buffered observations, and its centroid slices are never written in
 // place again — every mutation installs freshly allocated ones. Such a
-// sketch may therefore be read (Quantile, Quantiles, CDF, CDFs, Merged,
-// the argument side of Merge) from many goroutines at once; that is
-// what lets the segment reader cache decoded digests per mount.
+// sketch may therefore be read (N, Quantile, Quantiles, OrderStat, CDF,
+// Curve, Shift, Merged, the argument side of Merge) from many
+// goroutines at once; that is what lets the segment reader cache
+// decoded digests per mount.
 //
 // Accuracy. The usual t-digest property: relative rank error
 // ~O(q(1-q)/δ), tightest at the tails and the median. Small groups
@@ -37,6 +38,7 @@ import (
 	"unsafe"
 
 	"repro/internal/binfmt"
+	"repro/internal/stats"
 )
 
 // DefaultCompression is the δ used by the segment writer: ~2δ centroid
@@ -55,7 +57,8 @@ const (
 const maxCentroids = 1 << 20
 
 // Sketch is a mergeable t-digest. The zero value is not usable; build
-// with New.
+// with New. It is a stats.Distribution, so the figure kernels read a
+// digest the way they read a sorted vector.
 type Sketch struct {
 	compression int
 	// Centroids sorted by mean ascending; weights[i] observations
@@ -299,7 +302,13 @@ func (w *walk) quantile(q float64) float64 {
 	case q >= 1:
 		return s.max
 	}
-	target := q * float64(s.count)
+	return w.rank(q * float64(s.count))
+}
+
+// rank is the value at rank target: the quantile curve read at
+// target observations from the left, 0 < target < count.
+func (w *walk) rank(target float64) float64 {
+	s := w.s
 	for w.seek(target); w.i < len(s.weights); w.i++ {
 		wt := float64(s.weights[w.i])
 		center := w.cum + wt/2
@@ -356,14 +365,54 @@ func (s *Sketch) CDF(x float64) float64 {
 	return w.cdf(x)
 }
 
-// CDFs appends CDF(x) for each x to dst; ascending xs cost one pass,
-// like Quantiles.
-func (s *Sketch) CDFs(dst, xs []float64) []float64 {
+// N returns the number of observations, buffered ones included.
+func (s *Sketch) N() int {
+	s.flush()
+	return int(s.count)
+}
+
+// OrderStat estimates the r-th smallest observation, 1 ≤ r ≤ N: the
+// quantile curve at rank r − ½, where the digest centres its r-th
+// observation — exact while the centroids there are singletons.
+func (s *Sketch) OrderStat(r int) float64 {
 	w := s.walk()
-	for _, x := range xs {
-		dst = append(dst, w.cdf(x))
+	if s.count == 0 {
+		return 0
 	}
-	return dst
+	return w.rank(float64(r) - 0.5)
+}
+
+var _ stats.Shifter[*Sketch] = (*Sketch)(nil)
+
+// curvePoints is the resolution of Curve.
+const curvePoints = 1024
+
+// Curve materializes the digest's CDF from its quantiles on the
+// midpoint grid (i+½)/1024, read in one sweep of the centroids.
+func (s *Sketch) Curve() stats.CDF {
+	w := s.walk()
+	xs := make([]float64, curvePoints)
+	for i := range xs {
+		xs[i] = w.quantile((float64(i) + 0.5) / curvePoints)
+	}
+	cdf, _ := stats.CDFFromSorted(xs) // never empty
+	return cdf
+}
+
+// shiftPoints is the quantile-grid resolution of Shift.
+const shiftPoints = 201
+
+// Shift estimates the Mann-Whitney AUC P(after > s) + ½·P(after = s)
+// as the mean of s's CDF over after's quantiles on the midpoint grid
+// (i+½)/201 — the continuous-distribution identity E_y[F_s(y)]. Both
+// walks ascend, so each digest is swept once.
+func (s *Sketch) Shift(after *Sketch) float64 {
+	ys, fs := after.walk(), s.walk()
+	var sum float64
+	for i := 0; i < shiftPoints; i++ {
+		sum += fs.cdf(ys.quantile((float64(i) + 0.5) / shiftPoints))
+	}
+	return sum / shiftPoints
 }
 
 // lerp interpolates the point at x on the segment (x0,y0)-(x1,y1);

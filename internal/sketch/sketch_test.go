@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // exactQuantile is the same piecewise-linear-through-midpoints estimate
@@ -62,6 +64,17 @@ func TestSmallSketchIsExact(t *testing.T) {
 	}
 	if s.Min() != xs[0] || s.Max() != xs[len(xs)-1] {
 		t.Fatalf("min/max %v/%v, want %v/%v", s.Min(), s.Max(), xs[0], xs[len(xs)-1])
+	}
+	// On singletons the order statistics are the observations, and so
+	// is the median interval a sorted vector would report.
+	for r := 1; r <= len(xs); r++ {
+		if got := s.OrderStat(r); got != xs[r-1] {
+			t.Fatalf("OrderStat(%d) = %v, want %v", r, got, xs[r-1])
+		}
+	}
+	lo, hi := stats.MedianCI(s)
+	if wlo, whi := stats.MedianCI(stats.Sorted(xs)); lo != wlo || hi != whi {
+		t.Errorf("MedianCI = [%v, %v], want the sorted vector's [%v, %v]", lo, hi, wlo, whi)
 	}
 }
 
@@ -270,8 +283,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// checkBatch requires Quantiles and CDFs over the given keys to answer
-// exactly — to the bit — what one Quantile or CDF call per key answers.
+// checkBatch requires Quantiles, and one walk answering CDF keys in
+// turn (as Shift and Curve read a digest), to answer exactly — to the
+// bit — what one Quantile or CDF call per key answers.
 func checkBatch(t *testing.T, s *Sketch, qs, xs []float64) {
 	t.Helper()
 	for i, got := range s.Quantiles(nil, qs) {
@@ -279,9 +293,10 @@ func checkBatch(t *testing.T, s *Sketch, qs, xs []float64) {
 			t.Fatalf("Quantiles[%d] (q=%v) = %v, Quantile = %v", i, qs[i], got, want)
 		}
 	}
-	for i, got := range s.CDFs(nil, xs) {
-		if want := s.CDF(xs[i]); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("CDFs[%d] (x=%v) = %v, CDF = %v", i, xs[i], got, want)
+	w := s.walk()
+	for i, x := range xs {
+		if got, want := w.cdf(x), s.CDF(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("walk cdf[%d] (x=%v) = %v, CDF = %v", i, x, got, want)
 		}
 	}
 }

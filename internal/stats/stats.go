@@ -1,15 +1,16 @@
 // Package stats implements the statistical machinery the paper relies
-// on: medians (the headline metric, §3.3), arbitrary quantiles, CDFs,
-// boxplot five-number summaries, the coefficient of variation used for
-// last-mile stability (§5), and the confidence-interval sample-size
-// formula n = z²·p·(1−p)/ε² used to size per-country measurement
-// campaigns.
+// on: medians (the headline metric, §3.3) and their order-statistic
+// confidence intervals, arbitrary quantiles, CDFs, boxplot five-number
+// summaries, the coefficient of variation used for last-mile stability
+// (§5), and the confidence-interval sample-size formula
+// n = z²·p·(1−p)/ε² used to size per-country measurement campaigns.
+// The Distribution interface (distribution.go) is the seam the figure
+// kernels read through, whether a sample is held whole or sketched.
 package stats
 
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -59,21 +60,9 @@ func Quantiles(xs []float64, qs ...float64) ([]float64, error) {
 	return QuantilesSorted(s, qs...)
 }
 
-// QuantileSorted returns the q-th quantile of xs, which must already be
-// sorted ascending. It is the zero-copy path for callers (the sharded
-// measurement store) that maintain pre-sorted sample vectors.
-func QuantileSorted(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, errors.New("stats: quantile out of [0,1]")
-	}
-	return quantileSorted(xs, q), nil
-}
-
 // QuantilesSorted returns several quantiles of an already-sorted xs
-// without copying or re-sorting.
+// without copying or re-sorting — the zero-copy path for callers (the
+// sharded measurement store) that maintain pre-sorted sample vectors.
 func QuantilesSorted(xs []float64, qs ...float64) ([]float64, error) {
 	if len(xs) == 0 {
 		return nil, ErrEmpty
@@ -86,11 +75,6 @@ func QuantilesSorted(xs []float64, qs ...float64) ([]float64, error) {
 		out[i] = quantileSorted(xs, q)
 	}
 	return out, nil
-}
-
-// MedianSorted returns the median of an already-sorted sample.
-func MedianSorted(xs []float64) (float64, error) {
-	return QuantileSorted(xs, 0.5)
 }
 
 // Mean returns the arithmetic mean of xs.
@@ -179,9 +163,7 @@ func NewCDF(xs []float64) (CDF, error) {
 	if len(xs) == 0 {
 		return CDF{}, ErrEmpty
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return CDF{sorted: s}, nil
+	return CDF{sorted: SortedCopy(xs)}, nil
 }
 
 // CDFFromSorted builds an empirical CDF around xs without copying. The
@@ -272,32 +254,6 @@ func RequiredSampleSize(z, p, epsilon float64) int {
 	}
 	n := z * z * p * (1 - p) / (epsilon * epsilon)
 	return int(math.Ceil(n))
-}
-
-// BootstrapMedianCI returns a percentile-bootstrap confidence interval
-// for the median of xs: resamples draws with replacement, interval at
-// the given confidence (e.g. 0.95). Resampling uses the provided seed
-// so analyses stay reproducible.
-func BootstrapMedianCI(xs []float64, resamples int, confidence float64, seed int64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if resamples < 1 || confidence <= 0 || confidence >= 1 {
-		return 0, 0, errors.New("stats: bad bootstrap parameters")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	medians := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for r := 0; r < resamples; r++ {
-		for i := range buf {
-			buf[i] = xs[rng.Intn(len(xs))]
-		}
-		sort.Float64s(buf)
-		medians[r] = quantileSorted(buf, 0.5)
-	}
-	sort.Float64s(medians)
-	alpha := (1 - confidence) / 2
-	return quantileSorted(medians, alpha), quantileSorted(medians, 1-alpha), nil
 }
 
 // Welford is a streaming accumulator for count, mean and variance. The

@@ -357,42 +357,3 @@ func TestKolmogorovSmirnovProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBootstrapMedianCI(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = 50 + rng.NormFloat64()*10
-	}
-	lo, hi, err := BootstrapMedianCI(xs, 400, 0.95, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, _ := Median(xs)
-	if !(lo <= med && med <= hi) {
-		t.Errorf("CI [%v, %v] does not cover the sample median %v", lo, hi, med)
-	}
-	// Interval is tight around the true median for a 500-point sample.
-	if hi-lo > 5 {
-		t.Errorf("CI width = %v, want narrow", hi-lo)
-	}
-	// Higher confidence widens.
-	lo99, hi99, _ := BootstrapMedianCI(xs, 400, 0.99, 1)
-	if hi99-lo99 < hi-lo {
-		t.Errorf("99%% CI narrower than 95%%: %v vs %v", hi99-lo99, hi-lo)
-	}
-	// Determinism under seed.
-	lo2, hi2, _ := BootstrapMedianCI(xs, 400, 0.95, 1)
-	if lo2 != lo || hi2 != hi {
-		t.Error("bootstrap not deterministic under seed")
-	}
-	if _, _, err := BootstrapMedianCI(nil, 10, 0.95, 1); err != ErrEmpty {
-		t.Error("empty input should fail")
-	}
-	if _, _, err := BootstrapMedianCI(xs, 0, 0.95, 1); err == nil {
-		t.Error("zero resamples should fail")
-	}
-	if _, _, err := BootstrapMedianCI(xs, 10, 1.5, 1); err == nil {
-		t.Error("bad confidence should fail")
-	}
-}

@@ -19,12 +19,9 @@ const (
 	DimPair      Dim = Dim(dimPair)
 )
 
-// PairName builds a DimPair group name from its parts, and SplitPair
-// inverts it — the country and provider of a country×provider group.
+// PairName builds a DimPair group name from its parts — the country
+// and provider of a country×provider group.
 func PairName(country, provider string) string { return pairName(country, provider) }
-
-// SplitPair splits a DimPair group name at its first separator.
-func SplitPair(name string) (country, provider string) { return splitPair(name) }
 
 // DumpVisitor receives a sealed store's complete content, callback by
 // callback, in canonical order: shards ascending; within a shard its

@@ -250,11 +250,29 @@ func ChangepointWindows(at, width int) (before, after Window) {
 }
 
 // ChangepointFrom scores and ranks the changepoint comparison given
-// the per-pair sorted sample vectors on either side of the cycle. It
-// is the pure tail of Changepoint, shared with the segment reader
-// (internal/segment) so both store backends produce bit-identical
+// the per-pair sorted sample vectors on either side of the cycle: the
+// exact (Mann-Whitney U) instance of ChangepointOf, shared with the
+// segment reader's exact path so both backends produce bit-identical
 // rankings from the same vectors.
 func ChangepointFrom(pre, post map[string][]float64) []ChangepointEntry {
+	return ChangepointOf(asSorted(pre), asSorted(post))
+}
+
+// asSorted views vectors already sorted ascending as Distributions.
+func asSorted(m map[string][]float64) map[string]stats.Sorted {
+	out := make(map[string]stats.Sorted, len(m))
+	for name, xs := range m {
+		out[name] = xs
+	}
+	return out
+}
+
+// ChangepointOf is the changepoint kernel over per-pair distributions
+// on either side of the cycle: medians, their delta and the shift
+// score, which D itself computes — exactly for stats.Sorted, on a
+// quantile grid for digests. Pairs on one side only are reported as
+// appeared or disappeared.
+func ChangepointOf[D stats.Shifter[D]](pre, post map[string]D) []ChangepointEntry {
 	names := make(map[string]struct{}, len(pre)+len(post))
 	for n := range pre {
 		names[n] = struct{}{}
@@ -265,33 +283,40 @@ func ChangepointFrom(pre, post map[string][]float64) []ChangepointEntry {
 	out := make([]ChangepointEntry, 0, len(names))
 	for n := range names {
 		country, provider := splitPair(n)
-		e := ChangepointEntry{Country: country, Provider: provider,
-			NBefore: len(pre[n]), NAfter: len(post[n]), Shift: 0.5}
+		e := ChangepointEntry{Country: country, Provider: provider, Shift: 0.5}
+		b, okb := pre[n]
+		a, oka := post[n]
+		if okb {
+			e.NBefore = b.N()
+		}
+		if oka {
+			e.NAfter = a.N()
+		}
 		switch {
 		case e.NBefore == 0 && e.NAfter == 0:
 			continue
 		case e.NBefore == 0:
 			e.Status = "appeared"
-			e.MedianAfterMs, _ = stats.MedianSorted(post[n])
+			e.MedianAfterMs = a.Quantile(0.5)
 		case e.NAfter == 0:
 			e.Status = "disappeared"
-			e.MedianBeforeMs, _ = stats.MedianSorted(pre[n])
+			e.MedianBeforeMs = b.Quantile(0.5)
 		default:
-			e.MedianBeforeMs, _ = stats.MedianSorted(pre[n])
-			e.MedianAfterMs, _ = stats.MedianSorted(post[n])
+			e.MedianBeforeMs = b.Quantile(0.5)
+			e.MedianAfterMs = a.Quantile(0.5)
 			e.DeltaMs = e.MedianAfterMs - e.MedianBeforeMs
-			e.Shift = stats.MannWhitneyShift(pre[n], post[n])
+			e.Shift = b.Shift(a)
 		}
 		out = append(out, e)
 	}
-	RankChangepoint(out)
+	rankChangepoint(out)
 	return out
 }
 
-// RankChangepoint sorts scored entries into Changepoint's order:
+// rankChangepoint sorts scored entries into Changepoint's order:
 // two-sided pairs by shift descending, ties by delta then name, then
 // appeared, then disappeared pairs.
-func RankChangepoint(out []ChangepointEntry) {
+func rankChangepoint(out []ChangepointEntry) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if (a.Status == "") != (b.Status == "") {

@@ -104,13 +104,13 @@ func TestStoreMatchesBatchAnalysis(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		st, ds, processed := fixtureStore(t, shards)
 
-		if got, want := st.LatencyMap(10), analysis.LatencyMap(ds, 10); !reflect.DeepEqual(got, want) {
+		if got, want := st.LatencyMap(10), analysis.CollectStore(ds).LatencyMap(10); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: LatencyMap diverges from batch analysis:\ngot  %+v\nwant %+v", shards, got, want)
 		}
-		if got, want := st.ContinentCDFs("speedchecker"), analysis.ContinentDistributions(ds, "speedchecker"); !reflect.DeepEqual(got, want) {
+		if got, want := st.ContinentCDFs("speedchecker"), analysis.CollectStore(ds).ContinentDistributions("speedchecker"); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: ContinentCDFs diverges from batch analysis", shards)
 		}
-		if got, want := st.PlatformDiff(), analysis.PlatformComparison(ds); !reflect.DeepEqual(got, want) {
+		if got, want := st.PlatformDiff(), analysis.CollectStore(ds).PlatformComparison(); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: PlatformDiff diverges from batch analysis", shards)
 		}
 		if got, want := st.PeeringShares(), analysis.Interconnections(processed); !reflect.DeepEqual(got, want) {
@@ -121,7 +121,7 @@ func TestStoreMatchesBatchAnalysis(t *testing.T) {
 
 func TestCountryQuantilesMatchStats(t *testing.T) {
 	st, ds, _ := fixtureStore(t, 8)
-	byCountry := analysis.Nearest(ds, "speedchecker").ByCountry()
+	byCountry := analysis.CollectStore(ds).Nearest("speedchecker").ByCountry()
 	for country, xs := range byCountry {
 		got, n, err := st.CountryQuantiles("speedchecker", country, 0.25, 0.5, 0.9)
 		if err != nil {
@@ -148,7 +148,7 @@ func TestSummaryAndCountries(t *testing.T) {
 	sum := st.Summary()
 	wantRows := 0
 	for _, platform := range []string{"speedchecker", "atlas"} {
-		for _, xs := range analysis.Nearest(ds, platform).Samples {
+		for _, xs := range analysis.CollectStore(ds).Nearest(platform).Samples {
 			wantRows += len(xs)
 		}
 	}

@@ -100,7 +100,7 @@ func TestWindowedQueriesMatchGroundTruth(t *testing.T) {
 		}
 
 		for _, platform := range []string{"speedchecker", "atlas"} {
-			na := analysis.Nearest(ds, platform)
+			na := analysis.CollectStore(ds).Nearest(platform)
 			for _, w := range append([]Window{{}, full}, subWindows...) {
 				got := dropEmpty(st.CountrySamplesWindow(platform, w))
 				want := windowedByCountry(na, w)
@@ -112,7 +112,7 @@ func TestWindowedQueriesMatchGroundTruth(t *testing.T) {
 
 		// Quantiles over a sub-window must come from the windowed merge.
 		w := Window{From: 3, To: 11}
-		want := windowedByCountry(analysis.Nearest(ds, "speedchecker"), w)
+		want := windowedByCountry(analysis.CollectStore(ds).Nearest("speedchecker"), w)
 		for country, xs := range want {
 			got, n, err := st.CountryQuantilesWindow("speedchecker", country, w, 0.25, 0.5, 0.9)
 			if err != nil {
