@@ -39,10 +39,9 @@ func radians(deg float64) float64 { return deg * math.Pi / 180 }
 func DistanceKm(a, b Point) float64 {
 	la1, lo1 := radians(a.Lat), radians(a.Lon)
 	la2, lo2 := radians(b.Lat), radians(b.Lon)
-	dLat := la2 - la1
-	dLon := lo2 - lo1
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	sLat := math.Sin((la2 - la1) / 2)
+	sLon := math.Sin((lo2 - lo1) / 2)
+	h := sLat*sLat + math.Cos(la1)*math.Cos(la2)*sLon*sLon
 	// Clamp for floating-point safety before the asin.
 	if h > 1 {
 		h = 1

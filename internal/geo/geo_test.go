@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -31,6 +32,45 @@ func TestDistanceZero(t *testing.T) {
 	p := Point{48.1, 11.6}
 	if d := DistanceKm(p, p); d != 0 {
 		t.Errorf("distance to self = %v, want 0", d)
+	}
+}
+
+// TestDistanceKmBits pins DistanceKm to the haversine as first written,
+// with each half-angle sine called twice: computing them once must not
+// move a bit of any distance the simulator prices.
+func TestDistanceKmBits(t *testing.T) {
+	ref := func(a, b Point) float64 {
+		la1, lo1 := radians(a.Lat), radians(a.Lon)
+		la2, lo2 := radians(b.Lat), radians(b.Lon)
+		dLat := la2 - la1
+		dLon := lo2 - lo1
+		h := math.Sin(dLat/2)*math.Sin(dLat/2) +
+			math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+		if h > 1 {
+			h = 1
+		}
+		return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
+	}
+	rng := rand.New(rand.NewSource(1))
+	random := func() Point { return Point{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180} }
+	var pairs [][2]Point
+	for i := 0; i < 100_000; i++ {
+		a := random()
+		pairs = append(pairs, [2]Point{a, random()})
+	}
+	for i := 0; i < 1_000; i++ {
+		a := random()
+		antipode := Point{Lat: -a.Lat, Lon: normalizeLon(a.Lon + 180)}
+		near := Point{Lat: a.Lat + (rng.Float64()-0.5)*1e-9, Lon: a.Lon + (rng.Float64()-0.5)*1e-9}
+		pairs = append(pairs, [2]Point{a, a}, [2]Point{a, antipode}, [2]Point{a, near})
+	}
+	pairs = append(pairs, [2]Point{{90, 0}, {-90, 0}}, [2]Point{{0, -180}, {0, 180}}, [2]Point{{0, 0}, {0, 180}})
+	for _, pr := range pairs {
+		got, want := DistanceKm(pr[0], pr[1]), ref(pr[0], pr[1])
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DistanceKm(%v, %v) = %v (%#x), reference %v (%#x)",
+				pr[0], pr[1], got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 

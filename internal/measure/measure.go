@@ -22,13 +22,15 @@
 package measure
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -984,11 +986,8 @@ func (c *Campaign) targetsFor(p *probes.Probe, cycle, probeIdx int) []*cloud.Reg
 		for i, r := range pool {
 			ns[i] = near{r, geo.DistanceKm(p.Loc, r.Loc)}
 		}
-		sort.Slice(ns, func(i, j int) bool {
-			if ns[i].d != ns[j].d {
-				return ns[i].d < ns[j].d
-			}
-			return ns[i].r.ID < ns[j].r.ID
+		slices.SortFunc(ns, func(a, b near) int {
+			return cmp.Or(cmp.Compare(a.d, b.d), strings.Compare(a.r.ID, b.r.ID))
 		})
 		for i, n := range ns {
 			pool[i] = n.r

@@ -103,13 +103,40 @@ func (s *Simulator) rngFor(probeID, regionID string, proto dataset.Protocol, cyc
 	return rng
 }
 
-// segment is one wired stretch of the path with its owner AS.
+// segment is one wired stretch of the path with its owner AS and the
+// constants its RTT draws start from.
 type segment struct {
-	from, to     geo.Point
-	fromC, toC   string // country codes for inflation lookup
 	owner        asn.Number
 	privateWAN   bool
-	routersAtEnd int // routers the owner answers with at the end of the segment
+	routersAtEnd int     // routers the owner answers with at the end of the segment
+	base         float64 // propagation RTT, ms: fibre distance times inflation
+	jitterScale  float64 // congestion jitter relative to the base
+}
+
+// leg is a stretch of the path as buildPlan lays it: two end points and
+// their countries, which set the inflation.
+type leg struct {
+	from, to   geo.Point
+	fromC, toC string
+}
+
+// segment prices the leg once per plan; segmentRTT adds the per-draw
+// router and jitter terms.
+func (l leg) segment(owner asn.Number, privateWAN bool, routersAtEnd int) segment {
+	inflation := world.PathInflation(l.fromC, l.toC)
+	jitterScale := 0.06 + (inflation-1.3)*0.09 // poorly provisioned ⇒ noisier
+	if jitterScale < 0.04 {
+		jitterScale = 0.04
+	}
+	if privateWAN {
+		inflation = world.PrivateWANInflationFor(l.fromC, l.toC)
+		jitterScale = 0.015
+	}
+	return segment{
+		owner: owner, privateWAN: privateWAN, routersAtEnd: routersAtEnd,
+		base:        geo.DistanceKm(l.from, l.to) / FibreKmPerMsRTT * inflation,
+		jitterScale: jitterScale,
+	}
 }
 
 // plan is the full forwarding plan for one <probe, region> pair.
@@ -127,8 +154,8 @@ func (s *Simulator) buildPlan(p *probes.Probe, r *cloud.Region) plan {
 		// Unreachable pairs do not occur in a well-formed world; treat
 		// as a degenerate single-segment path to keep callers total.
 		return plan{kind: world.IcPublic, asPath: []asn.Number{p.ISP.Number, r.Provider.ASN},
-			segments: []segment{{from: p.Loc, to: r.Loc, fromC: p.Country, toC: r.Country,
-				owner: r.Provider.ASN, routersAtEnd: 1}}}
+			segments: []segment{leg{from: p.Loc, to: r.Loc, fromC: p.Country, toC: r.Country}.
+				segment(r.Provider.ASN, false, 1)}}
 	}
 	// One segment per AS hand-off, plus the provider edge and the cloud
 	// segment proper.
@@ -140,10 +167,8 @@ func (s *Simulator) buildPlan(p *probes.Probe, r *cloud.Region) plan {
 	cur, curC := p.Loc, p.Country
 	// Serving-ISP aggregation: probe location to the ISP PoP.
 	ispPoP, _ := s.W.NearestPoP(p.ISP.Number, p.Loc)
-	pl.segments = append(pl.segments, segment{
-		from: cur, to: ispPoP.Loc, fromC: curC, toC: ispPoP.Country,
-		owner: p.ISP.Number, routersAtEnd: 2,
-	})
+	pl.segments = append(pl.segments,
+		leg{from: cur, to: ispPoP.Loc, fromC: curC, toC: ispPoP.Country}.segment(p.ISP.Number, false, 2))
 	cur, curC = ispPoP.Loc, ispPoP.Country
 
 	in := s.W.CloudIngress(kind, p.Loc, r)
@@ -158,22 +183,18 @@ func (s *Simulator) buildPlan(p *probes.Probe, r *cloud.Region) plan {
 		if !ok {
 			pop = world.PoP{Loc: towards, Country: curC}
 		}
-		pl.segments = append(pl.segments, segment{
-			from: cur, to: pop.Loc, fromC: curC, toC: pop.Country,
-			// Carriers answer with at least two routers: a transit AS
-			// vanishing entirely from a trace should be rare, as the
-			// §6.1 classification depends on seeing it.
-			owner: a, routersAtEnd: 2 + i%2,
-		})
+		// Carriers answer with at least two routers: a transit AS
+		// vanishing entirely from a trace should be rare, as the §6.1
+		// classification depends on seeing it.
+		pl.segments = append(pl.segments,
+			leg{from: cur, to: pop.Loc, fromC: curC, toC: pop.Country}.segment(a, false, 2+i%2))
 		cur, curC = pop.Loc, pop.Country
 	}
 
 	// Hand-off into the provider edge.
 	if cur != ingress {
-		pl.segments = append(pl.segments, segment{
-			from: cur, to: ingress, fromC: curC, toC: ingressC,
-			owner: r.Provider.ASN, privateWAN: false, routersAtEnd: 1,
-		})
+		pl.segments = append(pl.segments,
+			leg{from: cur, to: ingress, fromC: curC, toC: ingressC}.segment(r.Provider.ASN, false, 1))
 		cur, curC = ingress, ingressC
 	}
 	// The cloud segment proper: ingress to the datacenter.
@@ -187,10 +208,8 @@ func (s *Simulator) buildPlan(p *probes.Probe, r *cloud.Region) plan {
 	if routers > 6 {
 		routers = 6
 	}
-	pl.segments = append(pl.segments, segment{
-		from: cur, to: r.Loc, fromC: curC, toC: r.Country,
-		owner: r.Provider.ASN, privateWAN: wanPrivate, routersAtEnd: routers,
-	})
+	pl.segments = append(pl.segments,
+		leg{from: cur, to: r.Loc, fromC: curC, toC: r.Country}.segment(r.Provider.ASN, wanPrivate, routers))
 	return pl
 }
 
@@ -205,22 +224,11 @@ func (s *Simulator) wiredRTT(pl plan, rng *rand.Rand) float64 {
 }
 
 func (s *Simulator) segmentRTT(seg segment, rng *rand.Rand) float64 {
-	dist := geo.DistanceKm(seg.from, seg.to)
-	inflation := world.PathInflation(seg.fromC, seg.toC)
-	jitterScale := 0.06 + (inflation-1.3)*0.09 // poorly provisioned ⇒ noisier
-	if jitterScale < 0.04 {
-		jitterScale = 0.04
-	}
-	if seg.privateWAN {
-		inflation = world.PrivateWANInflationFor(seg.fromC, seg.toC)
-		jitterScale = 0.015
-	}
-	base := dist / FibreKmPerMsRTT * inflation
 	// Router processing: a fraction of a millisecond per hop.
-	base += float64(seg.routersAtEnd) * (0.15 + rng.Float64()*0.2)
+	base := seg.base + float64(seg.routersAtEnd)*(0.15+rng.Float64()*0.2)
 	// Multiplicative congestion jitter with an occasional spike on
 	// public segments.
-	jitter := base * jitterScale * math.Abs(rng.NormFloat64())
+	jitter := base * seg.jitterScale * math.Abs(rng.NormFloat64())
 	if !seg.privateWAN && rng.Float64() < 0.02 {
 		jitter += base * (0.3 + rng.Float64()*0.9)
 	}

@@ -283,11 +283,29 @@ func TestPairCarriesNoState(t *testing.T) {
 // TestMeasurementAllocs pins what one measurement over a laid plan
 // allocates: nothing for a ping, the hop slice for a traceroute. A
 // generator built per measurement (rand.NewSource is a 4.9 KB register)
-// fails it. The race detector's sync.Pool drops items at random, so the
-// counts only hold without it.
+// fails it. Laying a plan allocates its AS path and segments, plus what
+// the public detour's route search needs. The race detector's sync.Pool
+// drops items at random, so the counts only hold without it.
 func TestMeasurementAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool keeps nothing reliably under the race detector")
+	}
+	for _, c := range []struct {
+		country        string
+		access         lastmile.Access
+		provider, city string
+		max            float64
+	}{
+		{"DE", lastmile.WiFi, "AMZN", "Frankfurt", 2}, // direct
+		{"EG", lastmile.Cellular, "AMZN", "Frankfurt", 2},
+		{"GB", lastmile.WiFi, "IBM", "Frankfurt", 1}, // private transit
+		{"DE", lastmile.WiFi, "VLTR", "London", 4},   // public
+	} {
+		p, r := probeIn(t, c.country, c.access), regionOf(t, c.provider, c.city)
+		if n := testing.AllocsPerRun(100, func() { testSim.Pair(p, r) }); n > c.max {
+			t.Errorf("Simulator.Pair(%s %v, %s %s) allocates %v times, want at most %v",
+				c.country, c.access, c.provider, c.city, n, c.max)
+		}
 	}
 	pr := testSim.Pair(probeIn(t, "DE", lastmile.WiFi), regionOf(t, "AMZN", "Frankfurt"))
 	cycle := 0
@@ -302,6 +320,14 @@ func TestMeasurementAllocs(t *testing.T) {
 		pr.Traceroute(cycle)
 	}); n != 1 {
 		t.Errorf("Pair.Traceroute allocates %v times, want 1 (its hops)", n)
+	}
+}
+
+func BenchmarkSimulatorPair(b *testing.B) {
+	ps, regions := scFleet.All(), testW.Inventory.Regions()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		testSim.Pair(ps[i%len(ps)], regions[i%len(regions)])
 	}
 }
 

@@ -12,7 +12,6 @@ package world
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/asn"
@@ -88,6 +87,17 @@ type World struct {
 	ic              map[icKey]Interconnect
 	ixpByASN        map[asn.Number]*IXP
 	regionIPs       map[string]netaddr.IP // region ID → VM endpoint address
+
+	// Built by index once construction is done; read-only afterwards.
+	popSets      map[asn.Number]popSet
+	ixpNear      geo.Index
+	ixpByCountry map[string]*IXP // country → the exchange IXPForPeering picks
+}
+
+// popSet is one AS's PoPs with the index NearestPoP searches.
+type popSet struct {
+	pops []PoP
+	near geo.Index
 }
 
 // Build synthesizes a world from the configuration.
@@ -120,7 +130,31 @@ func Build(cfg Config) (*World, error) {
 	if err := w.buildClouds(rng); err != nil {
 		return nil, err
 	}
+	w.index()
 	return w, nil
+}
+
+// index builds the tables the simulator reads for every plan: a
+// nearest-point index per AS and over the exchanges, and each country's
+// peering exchange.
+func (w *World) index() {
+	w.popSets = make(map[asn.Number]popSet, len(w.pops))
+	for n, pops := range w.pops {
+		locs := make([]geo.Point, len(pops))
+		for i, p := range pops {
+			locs[i] = p.Loc
+		}
+		w.popSets[n] = popSet{pops: pops, near: geo.NewIndex(locs)}
+	}
+	locs := make([]geo.Point, len(w.ixps))
+	for i, x := range w.ixps {
+		locs[i] = x.Loc
+	}
+	w.ixpNear = geo.NewIndex(locs)
+	w.ixpByCountry = make(map[string]*IXP)
+	for _, c := range geo.AllCountries() {
+		w.ixpByCountry[c.Code] = w.NearestIXP(c.Centroid)
+	}
 }
 
 // MustBuild is Build for tests and examples; it panics on error.
@@ -156,14 +190,10 @@ func (w *World) IXPByASN(n asn.Number) (*IXP, bool) {
 
 // NearestIXP returns the exchange closest to p.
 func (w *World) NearestIXP(p geo.Point) *IXP {
-	var best *IXP
-	bestD := math.Inf(1)
-	for _, x := range w.ixps {
-		if d := geo.DistanceKm(p, x.Loc); d < bestD {
-			best, bestD = x, d
-		}
+	if i := w.ixpNear.Nearest(p); i >= 0 {
+		return w.ixps[i]
 	}
-	return best
+	return nil
 }
 
 // ProviderByASN maps a cloud WAN ASN back to its provider.
@@ -175,17 +205,11 @@ func (w *World) ProviderByASN(n asn.Number) (*cloud.Provider, bool) {
 // NearestPoP returns the AS's PoP closest to p. ok is false when the AS
 // has no PoPs.
 func (w *World) NearestPoP(n asn.Number, p geo.Point) (PoP, bool) {
-	pops := w.pops[n]
-	if len(pops) == 0 {
-		return PoP{}, false
+	set := w.popSets[n]
+	if i := set.near.Nearest(p); i >= 0 {
+		return set.pops[i], true
 	}
-	best, bestD := pops[0], geo.DistanceKm(p, pops[0].Loc)
-	for _, cand := range pops[1:] {
-		if d := geo.DistanceKm(p, cand.Loc); d < bestD {
-			best, bestD = cand, d
-		}
-	}
-	return best, true
+	return PoP{}, false
 }
 
 // Prefix returns the address block announced by an AS.
@@ -374,11 +398,10 @@ func (w *World) CloudIngress(kind Interconnect, vpLoc geo.Point, region *cloud.R
 // IXPForPeering returns the exchange a direct-via-IXP interconnect uses:
 // the one nearest the ISP's home country.
 func (w *World) IXPForPeering(isp *asn.AS) *IXP {
-	c, ok := geo.CountryByCode(isp.Country)
-	if !ok {
-		return w.ixps[0]
+	if x, ok := w.ixpByCountry[isp.Country]; ok {
+		return x
 	}
-	return w.NearestIXP(c.Centroid)
+	return w.ixps[0]
 }
 
 // UserCoverageOf reports the fraction of global access-ISP users served

@@ -1,6 +1,8 @@
 package world
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/asn"
@@ -494,4 +496,121 @@ func TestCrossSeedInvariants(t *testing.T) {
 			t.Fatalf("seed %d: overrides not applied", seed)
 		}
 	}
+}
+
+// linearNearestPoP is NearestPoP as a plain scan, the reference the
+// index must reproduce: the first PoP of least DistanceKm.
+func linearNearestPoP(pops []PoP, p geo.Point) (PoP, bool) {
+	if len(pops) == 0 {
+		return PoP{}, false
+	}
+	best, bestD := pops[0], geo.DistanceKm(p, pops[0].Loc)
+	for _, cand := range pops[1:] {
+		if d := geo.DistanceKm(p, cand.Loc); d < bestD {
+			best, bestD = cand, d
+		}
+	}
+	return best, true
+}
+
+// nearQueries returns each PoP's own location, then n points drawn to
+// stress the index: uniform over the globe, within 1e-9° to 1° of a
+// PoP, and on the great-circle midpoint of two PoPs, where the two tie.
+func nearQueries(rng *rand.Rand, pops []PoP, n int) []geo.Point {
+	qs := make([]geo.Point, 0, len(pops)+n)
+	for _, pop := range pops {
+		qs = append(qs, pop.Loc)
+	}
+	for i := 0; i < n; i++ {
+		a, b := pops[rng.Intn(len(pops))].Loc, pops[rng.Intn(len(pops))].Loc
+		switch i % 3 {
+		case 0:
+			qs = append(qs, geo.Point{Lat: rng.Float64()*180 - 90, Lon: rng.Float64()*360 - 180})
+		case 1:
+			r := math.Pow(10, -9*rng.Float64())
+			qs = append(qs, geo.Point{Lat: a.Lat + (rng.Float64()-0.5)*r, Lon: a.Lon + (rng.Float64()-0.5)*r})
+		default:
+			qs = append(qs, geo.Midpoint(a, b))
+		}
+	}
+	return qs
+}
+
+// TestNearestPoPMatchesLinearScan checks the exact index against the
+// linear scan for every AS of two worlds, for the exchanges, and for a
+// hand-built AS whose duplicated PoP coordinates make the earliest PoP
+// win a tie and whose PoPs a centimetre apart keep chords near zero.
+func TestNearestPoPMatchesLinearScan(t *testing.T) {
+	queries := 0
+	check := func(w *World, n asn.Number, rng *rand.Rand) {
+		t.Helper()
+		pops := w.pops[n]
+		for _, q := range nearQueries(rng, pops, 1000) {
+			queries++
+			got, _ := w.NearestPoP(n, q)
+			if want, _ := linearNearestPoP(pops, q); got != want {
+				t.Fatalf("seed %d AS %v: NearestPoP(%v) = %+v, linear scan %+v", w.Config.Seed, n, q, got, want)
+			}
+		}
+	}
+	for _, seed := range []int64{1, 7} {
+		w := MustBuild(Config{Seed: seed})
+		rng := rand.New(rand.NewSource(seed))
+		for _, a := range w.Registry.All() {
+			check(w, a.Number, rng)
+		}
+		ixps := make([]PoP, len(w.ixps))
+		for i, x := range w.ixps {
+			ixps[i] = PoP{Loc: x.Loc, Country: x.Name}
+		}
+		for _, q := range nearQueries(rng, ixps, 1000) {
+			queries++
+			want, _ := linearNearestPoP(ixps, q)
+			if got := w.NearestIXP(q); got.Name != want.Country {
+				t.Fatalf("seed %d: NearestIXP(%v) = %s, linear scan %s", seed, q, got.Name, want.Country)
+			}
+		}
+		for _, c := range geo.AllCountries() {
+			want, _ := linearNearestPoP(ixps, c.Centroid)
+			if got := w.IXPForPeering(&asn.AS{Country: c.Code}); got.Name != want.Country {
+				t.Fatalf("seed %d: IXPForPeering(%s) = %s, linear scan %s", seed, c.Code, got.Name, want.Country)
+			}
+		}
+	}
+
+	w := testWorld(t)
+	const dup = asn.Number(4_000_000)
+	fra, lon := geo.Point{Lat: 50.11, Lon: 8.68}, geo.Point{Lat: 51.51, Lon: -0.13}
+	w.pops[dup] = []PoP{{fra, "F1"}, {lon, "L1"}, {fra, "F2"}, {lon, "L2"}, {geo.Midpoint(fra, lon), "M"},
+		{geo.Point{Lat: fra.Lat + 1e-7, Lon: fra.Lon}, "F3"}} // 1 cm from F1
+	w.index()
+	for q, want := range map[geo.Point]string{fra: "F1", lon: "L1"} {
+		if got, _ := w.NearestPoP(dup, q); got.Country != want {
+			t.Errorf("tie at %v won by %s, want the earliest PoP %s", q, got.Country, want)
+		}
+	}
+	check(w, dup, rand.New(rand.NewSource(3)))
+	if _, ok := w.NearestPoP(dup+1, fra); ok {
+		t.Error("an AS without PoPs has a nearest PoP")
+	}
+	t.Logf("%d queries match the linear scan", queries)
+}
+
+func BenchmarkNearestPoP(b *testing.B) {
+	w := MustBuild(Config{Seed: 1})
+	gcp, _ := w.Inventory.Provider("GCP")
+	rng := rand.New(rand.NewSource(1))
+	qs := nearQueries(rng, w.pops[gcp.ASN], 1024)
+	b.Run("index", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w.NearestPoP(gcp.ASN, qs[i%len(qs)])
+		}
+	})
+	b.Run("linear-scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			linearNearestPoP(w.pops[gcp.ASN], qs[i%len(qs)])
+		}
+	})
 }
