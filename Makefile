@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json fuzz fuzz-smoke bench gobench-smoke bench-smoke bench-check chaos-smoke verify
+.PHONY: build test race vet fmt-check lint lint-json fuzz fuzz-smoke bench gobench-smoke bench-smoke bench-check chaos-smoke verify
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing the
+# offenders.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint is the repo-specific determinism & concurrency pass — the
 # determinism analyzers (norawtime, noglobalrand, floateq,
@@ -91,8 +96,8 @@ bench-check:
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosWorkerKilledMidSweep|TestChaosWindowedReplay' -count=1 ./internal/cluster/
 
-# verify is the pre-merge gate: generic static analysis (vet), the
-# repo-specific determinism/concurrency lint (cloudyvet), the full
-# shuffled suite under the race detector, and a fuzz smoke pass over
-# the codec corpus.
-verify: vet lint race fuzz-smoke
+# verify is the pre-merge gate: formatting (gofmt), generic static
+# analysis (vet), the repo-specific determinism/concurrency lint
+# (cloudyvet), the full shuffled suite under the race detector, and a
+# fuzz smoke pass over the codec corpus.
+verify: fmt-check vet lint race fuzz-smoke

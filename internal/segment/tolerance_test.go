@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -212,10 +213,12 @@ func TestGroupQuantilesSketch(t *testing.T) {
 	if !ok {
 		t.Fatal("full-window group query refused the sketch path")
 	}
-	exactVals, exactN, err := st.CountryQuantiles("speedchecker", "DE", 0.5, 0.95)
+	de := st.CountrySamples("speedchecker")["DE"]
+	exactVals, err := stats.QuantilesSorted(de, 0.5, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
+	exactN := len(de)
 	if int(n) != exactN {
 		t.Fatalf("sketch count %d, exact %d", n, exactN)
 	}

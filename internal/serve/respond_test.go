@@ -119,7 +119,7 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-// panickyQuerier panics in PlatformDiff while fail is set; the first
+// panickyQuerier panics in PlatformDiffWindow while fail is set; the first
 // call parks on gate first, so concurrent duplicates join its flight.
 type panickyQuerier struct {
 	*store.Store
@@ -128,14 +128,14 @@ type panickyQuerier struct {
 	calls atomic.Int64
 }
 
-func (p *panickyQuerier) PlatformDiff() []analysis.PlatformDiff {
+func (p *panickyQuerier) PlatformDiffWindow(w store.Window) []analysis.PlatformDiff {
 	if p.calls.Add(1) == 1 {
 		<-p.gate
 	}
 	if p.fail.Load() {
 		panic("platform diff exploded")
 	}
-	return p.Store.PlatformDiff()
+	return p.Store.PlatformDiffWindow(w)
 }
 
 // A panicking query answers every request waiting on it with a 500,

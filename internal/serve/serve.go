@@ -67,9 +67,10 @@ import (
 // Querier is the store surface the server needs. *store.Store satisfies
 // it; tests wrap it to count underlying queries. Every figure query has
 // a windowed variant restricting it to a half-open cycle interval on
-// the campaign time axis; handlers call the unwindowed form when the
-// request carries no from/to, so wrappers that intercept only the
-// legacy methods keep seeing the default traffic.
+// the campaign time axis, and the unwindowed form is exactly the
+// windowed one over Window{}, the whole campaign. Handlers call only
+// the windowed form, so a wrapper intercepts a figure there; the
+// unwindowed methods stay for library callers.
 type Querier interface {
 	LatencyMap(minSamples int) []analysis.CountryLatency
 	ContinentCDFs(platform string) []analysis.ContinentDistribution
@@ -485,9 +486,6 @@ func (s *Server) handleLatencyMap(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("min=%d&%s", minSamples, windowKey(win))
 	s.respond(w, r, "latency-map", key, func(q Querier) (any, error) {
-		if win.All() {
-			return LatencyMapDTO(q.LatencyMap(minSamples)), nil
-		}
 		return LatencyMapDTO(q.LatencyMapWindow(minSamples, win)), nil
 	})
 }
@@ -518,12 +516,7 @@ func (s *Server) handleCDF(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("platform=%s&continent=%s&points=%d&%s", platform, continent, points, windowKey(win))
 	s.respond(w, r, "cdf", key, func(q Querier) (any, error) {
-		var dists []analysis.ContinentDistribution
-		if win.All() {
-			dists = q.ContinentCDFs(platform)
-		} else {
-			dists = q.ContinentCDFsWindow(platform, win)
-		}
+		dists := q.ContinentCDFsWindow(platform, win)
 		if continent != "" {
 			kept := dists[:0:0]
 			for _, d := range dists {
@@ -544,9 +537,6 @@ func (s *Server) handlePlatformDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.respond(w, r, "platform-diff", windowKey(win), func(q Querier) (any, error) {
-		if win.All() {
-			return PlatformDiffDTO(q.PlatformDiff()), nil
-		}
 		return PlatformDiffDTO(q.PlatformDiffWindow(win)), nil
 	})
 }
@@ -558,9 +548,6 @@ func (s *Server) handlePeeringShares(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.respond(w, r, "peering-shares", windowKey(win), func(q Querier) (any, error) {
-		if win.All() {
-			return PeeringSharesDTO(q.PeeringShares()), nil
-		}
 		return PeeringSharesDTO(q.PeeringSharesWindow(win)), nil
 	})
 }

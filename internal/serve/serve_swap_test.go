@@ -26,10 +26,10 @@ type blockingQuerier struct {
 	calls atomic.Int64
 }
 
-func (b *blockingQuerier) ContinentCDFs(platform string) []analysis.ContinentDistribution {
+func (b *blockingQuerier) ContinentCDFsWindow(platform string, w store.Window) []analysis.ContinentDistribution {
 	b.calls.Add(1)
 	<-b.gate
-	return b.Store.ContinentCDFs(platform)
+	return b.Store.ContinentCDFsWindow(platform, w)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

@@ -357,10 +357,10 @@ type countingQuerier struct {
 	delay    time.Duration
 }
 
-func (c *countingQuerier) ContinentCDFs(platform string) []analysis.ContinentDistribution {
+func (c *countingQuerier) ContinentCDFsWindow(platform string, w store.Window) []analysis.ContinentDistribution {
 	c.cdfCalls.Add(1)
 	time.Sleep(c.delay)
-	return c.Store.ContinentCDFs(platform)
+	return c.Store.ContinentCDFsWindow(platform, w)
 }
 
 // N concurrent identical cold requests must execute exactly one store

@@ -24,12 +24,10 @@ func BenchmarkStoreQuery(b *testing.B) {
 			st.PlatformDiff()
 		}
 	})
-	b.Run("CountryQuantiles", func(b *testing.B) {
+	b.Run("Changepoint", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := st.CountryQuantiles("speedchecker", "DE", 0.25, 0.5, 0.9); err != nil {
-				b.Fatal(err)
-			}
+			st.Changepoint("speedchecker", 7, 0)
 		}
 	})
 	b.Run("PeeringShares", func(b *testing.B) {

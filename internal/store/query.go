@@ -11,57 +11,35 @@ import (
 	"repro/internal/stats"
 )
 
-// gather fans out over the shards in parallel — each shard restricts
-// the requested dimension to the query window (zone-map pruning over
-// its time partitions) and filters down to the platform — and k-way
-// merges the per-key sorted vectors into one sorted vector per key. The
-// merged vectors may alias shard memory and must be treated as
-// read-only.
+// gather fans out over the shards in parallel — each shard walks the
+// requested dimension inside the query window (zone-map pruning over
+// its time partitions) for the platform's groups — then merges every
+// group's sorted runs, across all shards and partitions at once, into
+// one sorted vector per group name. The merged vectors may alias shard
+// memory and must be treated as read-only.
 func (s *Store) gather(dim dimension, w Window, platform string) map[string][]float64 {
 	defer obs.Time(s.mMerge)()
-	perShard := make([]map[string][]float64, len(s.shards))
+	perShard := make([]map[string][][]float64, len(s.shards))
 	var wg sync.WaitGroup
 	for i, sh := range s.shards {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			perShard[i] = s.queryShard(sh, dim, w, platform)
+			defer obs.Time(s.mPick)()
+			perShard[i] = sh.runs(dim, w, platform)
 		}(i, sh)
 	}
 	wg.Wait()
 
-	vecsByKey := map[string][][]float64{}
-	for _, groups := range perShard {
-		for name, xs := range groups {
-			vecsByKey[name] = append(vecsByKey[name], xs)
+	runs := perShard[0]
+	for _, more := range perShard[1:] {
+		for name, rs := range more {
+			runs[name] = append(runs[name], rs...)
 		}
 	}
-	out := make(map[string][]float64, len(vecsByKey))
-	var mu sync.Mutex
-	for name, vecs := range vecsByKey {
-		wg.Add(1)
-		go func(name string, vecs [][]float64) {
-			defer wg.Done()
-			merged := MergeSorted(vecs)
-			mu.Lock()
-			out[name] = merged
-			mu.Unlock()
-		}(name, vecs)
-	}
-	wg.Wait()
-	return out
-}
-
-// queryShard runs one shard's pick-and-filter: the shard's group map
-// for the dimension and window, filtered down to the platform.
-func (s *Store) queryShard(sh *shard, dim dimension, w Window, platform string) map[string][]float64 {
-	defer obs.Time(s.mPick)()
-	groups := sh.view(dim, w)
-	out := make(map[string][]float64, len(groups))
-	for g, xs := range groups {
-		if g.platform == platform {
-			out[g.name] = xs
-		}
+	out := make(map[string][]float64, len(runs))
+	for name, rs := range runs {
+		out[name] = MergeSorted(rs)
 	}
 	return out
 }
@@ -174,29 +152,6 @@ func FoldPeering(dst, src map[string]map[pipeline.Class]int) {
 			cur[cl] += n
 		}
 	}
-}
-
-// CountryQuantiles returns the requested quantiles of one country's
-// nearest-DC distribution together with the sample count, merging the
-// country's pre-sorted shard vectors instead of re-sorting. It returns
-// stats.ErrEmpty when the country has no samples.
-func (s *Store) CountryQuantiles(platform, country string, qs ...float64) ([]float64, int, error) {
-	return s.CountryQuantilesWindow(platform, country, Window{}, qs...)
-}
-
-// CountryQuantilesWindow is CountryQuantiles restricted to a cycle
-// window.
-func (s *Store) CountryQuantilesWindow(platform, country string, w Window, qs ...float64) ([]float64, int, error) {
-	var vecs [][]float64
-	for _, sh := range s.shards {
-		vecs = append(vecs, sh.keyVectors(dimCountry, groupKey{platform, country}, w)...)
-	}
-	merged := MergeSorted(vecs)
-	out, err := stats.QuantilesSorted(merged, qs...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, len(merged), nil
 }
 
 // PairSamples returns the platform's nearest-DC samples merged per

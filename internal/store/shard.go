@@ -1,7 +1,6 @@
 package store
 
 import (
-	"container/heap"
 	"sort"
 
 	"repro/internal/geo"
@@ -202,67 +201,31 @@ func (v byRTT) Swap(i, j int) {
 	v.cycle[i], v.cycle[j] = v.cycle[j], v.cycle[i]
 }
 
-// view materializes one dimension of the shard restricted to the query
-// window: partitions whose zone map misses the window are pruned,
+// runs walks one dimension of the shard inside the query window and
+// returns, per group name of the platform, the sorted vectors that
+// survive: partitions whose zone map misses the window are pruned,
 // fully-covered partitions alias their frozen vectors, and straddled
-// partitions filter row-by-row. Per key, the surviving sorted vectors
-// merge into one; callers must treat the result as read-only.
-func (sh *shard) view(dim dimension, w Window) map[groupKey][]float64 {
-	perPart := make([]map[groupKey][]float64, 0, len(sh.parts))
+// partitions filter row by row. The runs are not merged here — gather
+// merges each group once across every shard and partition — and alias
+// shard memory, so callers must treat them as read-only.
+func (sh *shard) runs(dim dimension, w Window, platform string) map[string][][]float64 {
+	out := map[string][][]float64{}
 	for _, p := range sh.parts {
 		if p.rows == 0 || !w.Overlaps(p.minCycle, p.maxCycle) {
 			continue
 		}
-		m := p.groups(dim)
-		out := make(map[groupKey][]float64, len(m))
-		if p.covered(w) {
-			for k, v := range m {
-				out[k] = v.rtt
+		covered := p.covered(w)
+		for k, v := range p.groups(dim) {
+			if k.platform != platform {
+				continue
 			}
-		} else {
-			for k, v := range m {
-				if xs := v.filter(w); len(xs) > 0 {
-					out[k] = xs
-				}
+			xs := v.rtt
+			if !covered {
+				xs = v.filter(w)
 			}
-		}
-		perPart = append(perPart, out)
-	}
-	if len(perPart) == 1 {
-		return perPart[0]
-	}
-	vecsByKey := map[groupKey][][]float64{}
-	for _, m := range perPart {
-		for k, xs := range m {
-			vecsByKey[k] = append(vecsByKey[k], xs)
-		}
-	}
-	out := make(map[groupKey][]float64, len(vecsByKey))
-	for k, vecs := range vecsByKey {
-		out[k] = MergeSorted(vecs)
-	}
-	return out
-}
-
-// keyVectors collects one key's sorted vectors across the shard's
-// overlapping partitions, window-filtered — the single-group analogue
-// of view for point queries.
-func (sh *shard) keyVectors(dim dimension, k groupKey, w Window) [][]float64 {
-	var out [][]float64
-	for _, p := range sh.parts {
-		if p.rows == 0 || !w.Overlaps(p.minCycle, p.maxCycle) {
-			continue
-		}
-		v, ok := p.groups(dim)[k]
-		if !ok {
-			continue
-		}
-		if p.covered(w) {
-			if len(v.rtt) > 0 {
-				out = append(out, v.rtt)
+			if len(xs) > 0 {
+				out[k.name] = append(out[k.name], xs)
 			}
-		} else if xs := v.filter(w); len(xs) > 0 {
-			out = append(out, xs)
 		}
 	}
 	return out
@@ -271,42 +234,64 @@ func (sh *shard) keyVectors(dim dimension, k groupKey, w Window) [][]float64 {
 // MergeSorted k-way merges ascending vectors into one ascending vector;
 // the result depends only on the combined multiset. For a single input
 // it returns it as-is (shard vectors are immutable, so sharing is
-// safe); callers must treat the result as read-only. The segment
+// safe); callers must treat the result as read-only. Only the result is
+// allocated, beyond the merge's own slice of run headers. The segment
 // reader's exact path merges its decoded columns with it too.
 func MergeSorted(vecs [][]float64) []float64 {
-	nonEmpty := vecs[:0:0]
+	runs := make([][]float64, 0, len(vecs))
 	total := 0
 	for _, v := range vecs {
 		if len(v) > 0 {
-			nonEmpty = append(nonEmpty, v)
+			runs = append(runs, v)
 			total += len(v)
 		}
 	}
-	switch len(nonEmpty) {
+	switch len(runs) {
 	case 0:
 		return nil
 	case 1:
-		return nonEmpty[0]
+		return runs[0]
 	case 2:
-		return merge2(nonEmpty[0], nonEmpty[1], total)
+		return merge2(runs[0], runs[1], total)
+	}
+	// runs is a binary min-heap keyed on each run's head; the smallest
+	// head is emitted and its run sliced from the front, and a drained
+	// run is replaced by the last one.
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		siftDown(runs, i)
 	}
 	out := make([]float64, 0, total)
-	h := make(mergeHeap, len(nonEmpty))
-	for i, v := range nonEmpty {
-		h[i] = mergeCursor{vec: v}
-	}
-	heap.Init(&h)
-	for len(h) > 0 {
-		c := &h[0]
-		out = append(out, c.vec[c.pos])
-		c.pos++
-		if c.pos == len(c.vec) {
-			heap.Pop(&h)
+	for len(runs) > 0 {
+		r := runs[0]
+		out = append(out, r[0])
+		if len(r) > 1 {
+			runs[0] = r[1:]
 		} else {
-			heap.Fix(&h, 0)
+			last := len(runs) - 1
+			runs[0] = runs[last]
+			runs = runs[:last]
 		}
+		siftDown(runs, 0)
 	}
 	return out
+}
+
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h [][]float64, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r][0] < h[m][0] {
+			m = r
+		}
+		if h[i][0] <= h[m][0] {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 func merge2(a, b []float64, total int) []float64 {
@@ -323,23 +308,4 @@ func merge2(a, b []float64, total int) []float64 {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-type mergeCursor struct {
-	vec []float64
-	pos int
-}
-
-type mergeHeap []mergeCursor
-
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].vec[h[i].pos] < h[j].vec[h[j].pos] }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeCursor)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

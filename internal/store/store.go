@@ -233,7 +233,7 @@ type Store struct {
 	partWindows []Window
 	summary     Summary
 	// mMerge times each gather (shard fan-out + k-way merge); mPick
-	// times each per-shard pick. Both are interned at seal so queries
+	// times each shard's window walk (shard.runs). Both are interned at seal so queries
 	// pay one atomic observation, no registry lookup.
 	mMerge *obs.Histogram
 	mPick  *obs.Histogram

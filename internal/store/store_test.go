@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -122,12 +123,13 @@ func TestStoreMatchesBatchAnalysis(t *testing.T) {
 func TestCountryQuantilesMatchStats(t *testing.T) {
 	st, ds, _ := fixtureStore(t, 8)
 	byCountry := analysis.CollectStore(ds).Nearest("speedchecker").ByCountry()
+	merged := st.CountrySamples("speedchecker")
 	for country, xs := range byCountry {
-		got, n, err := st.CountryQuantiles("speedchecker", country, 0.25, 0.5, 0.9)
+		got, err := stats.QuantilesSorted(merged[country], 0.25, 0.5, 0.9)
 		if err != nil {
 			t.Fatalf("%s: %v", country, err)
 		}
-		if n != len(xs) {
+		if n := len(merged[country]); n != len(xs) {
 			t.Errorf("%s: n = %d, want %d", country, n, len(xs))
 		}
 		want, err := stats.Quantiles(xs, 0.25, 0.5, 0.9)
@@ -138,7 +140,7 @@ func TestCountryQuantilesMatchStats(t *testing.T) {
 			t.Errorf("%s: quantiles = %v, want %v", country, got, want)
 		}
 	}
-	if _, _, err := st.CountryQuantiles("speedchecker", "ZZ", 0.5); err == nil {
+	if _, err := stats.QuantilesSorted(merged["ZZ"], 0.5); err == nil {
 		t.Error("unknown country should return an error")
 	}
 }
@@ -172,31 +174,47 @@ func TestSummaryAndCountries(t *testing.T) {
 
 func TestMergeSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		k := 1 + rng.Intn(6)
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(40)
+		// A coarse grid makes equal values (zero among them) cross runs.
+		grid := 1 + rng.Intn(8)
 		var vecs [][]float64
 		var all []float64
 		for i := 0; i < k; i++ {
 			n := rng.Intn(20)
+			if rng.Intn(4) == 0 {
+				n = 0
+			}
 			xs := make([]float64, n)
 			for j := range xs {
-				xs[j] = rng.Float64() * 100
+				xs[j] = float64(rng.Intn(grid)) * 0.5
 			}
 			sort.Float64s(xs)
 			vecs = append(vecs, xs)
 			all = append(all, xs...)
 		}
+		headers := append([][]float64(nil), vecs...)
 		sort.Float64s(all)
 		got := MergeSorted(vecs)
-		if len(all) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("trial %d: merged %d values from empty input", trial, len(got))
+		for i := range vecs {
+			if len(vecs[i]) != len(headers[i]) || cap(vecs[i]) != cap(headers[i]) ||
+				(len(vecs[i]) > 0 && &vecs[i][0] != &headers[i][0]) {
+				t.Fatalf("trial %d: MergeSorted rewrote the caller's run %d", trial, i)
 			}
-			continue
 		}
-		if !reflect.DeepEqual(got, all) {
-			t.Fatalf("trial %d: merge mismatch", trial)
+		if len(got) != len(all) {
+			t.Fatalf("trial %d: merged %d values, want %d", trial, len(got), len(all))
 		}
+		for i := range all {
+			if math.Float64bits(got[i]) != math.Float64bits(all[i]) {
+				t.Fatalf("trial %d: merged[%d] = %v, want %v", trial, i, got[i], all[i])
+			}
+		}
+	}
+
+	one := []float64{1, 2, 3}
+	if got := MergeSorted([][]float64{nil, one, {}}); len(got) != len(one) || &got[0] != &one[0] {
+		t.Error("a single non-empty run should come back aliased")
 	}
 }
 
@@ -211,7 +229,7 @@ func TestConcurrentQueries(t *testing.T) {
 			st.ContinentCDFs("atlas")
 			st.PlatformDiff()
 			st.PeeringShares()
-			st.CountryQuantiles("speedchecker", "DE", 0.5)
+			st.Changepoint("speedchecker", 1, 0)
 		}()
 	}
 	for i := 0; i < 8; i++ {

@@ -11,22 +11,23 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
 	"repro/internal/probes"
+	"repro/internal/stats"
 	"repro/internal/world"
 )
 
-// windowedByCountry computes the ground-truth windowed per-country
-// vectors straight from the nearest assignment's index-aligned cycle
-// columns: the nearest-region choice is a whole-stream property, so the
-// windowed store must return exactly the full assignment's samples
+// windowedBy computes ground-truth windowed vectors straight from the
+// nearest assignment's index-aligned cycle columns, grouped per probe
+// by group: the nearest-region choice is a whole-stream property, so
+// the windowed store must return exactly the full assignment's samples
 // filtered by cycle, never a re-derived assignment over the window.
-func windowedByCountry(na analysis.NearestAssignment, w Window) map[string][]float64 {
+func windowedBy(na analysis.NearestAssignment, w Window, group func(probe string) string) map[string][]float64 {
 	out := map[string][]float64{}
 	for probe, xs := range na.Samples {
-		country := na.Meta[probe].Country
+		name := group(probe)
 		cycles := na.Cycles[probe]
 		for i, x := range xs {
 			if w.Contains(int(cycles[i])) {
-				out[country] = append(out[country], x)
+				out[name] = append(out[name], x)
 			}
 		}
 	}
@@ -34,6 +35,11 @@ func windowedByCountry(na analysis.NearestAssignment, w Window) map[string][]flo
 		sort.Float64s(xs)
 	}
 	return out
+}
+
+// windowedByCountry is windowedBy grouped per VP country.
+func windowedByCountry(na analysis.NearestAssignment, w Window) map[string][]float64 {
+	return windowedBy(na, w, func(probe string) string { return na.Meta[probe].Country })
 }
 
 // dropEmpty normalizes a query result for comparison: a group whose
@@ -61,6 +67,10 @@ func TestWindowedQueriesMatchGroundTruth(t *testing.T) {
 	ds, processed := fixtureDataset(t)
 	const cycles = 15 // fixture pings cover cycles 0..14
 	baseline := FromDataset(ds, processed, Options{Shards: 4})
+	provider := map[string]string{} // region ID -> provider, as the feed maps it
+	for _, r := range ds.Pings {
+		provider[r.Target.Region] = r.Target.Provider
+	}
 	full := Window{From: 0, To: cycles}
 	subWindows := []Window{
 		{From: 5},          // open above
@@ -101,11 +111,25 @@ func TestWindowedQueriesMatchGroundTruth(t *testing.T) {
 
 		for _, platform := range []string{"speedchecker", "atlas"} {
 			na := analysis.CollectStore(ds).Nearest(platform)
+			byContinent := func(probe string) string { return na.Meta[probe].Continent.String() }
+			byPair := func(probe string) string {
+				return pairName(na.Meta[probe].Country, provider[na.Region[probe]])
+			}
 			for _, w := range append([]Window{{}, full}, subWindows...) {
 				got := dropEmpty(st.CountrySamplesWindow(platform, w))
 				want := windowedByCountry(na, w)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("partitions=%d: CountrySamplesWindow(%s, %+v) diverges from cycle-filtered assignment", parts, platform, w)
+				}
+				conts := map[string][]float64{}
+				for c, xs := range st.ContinentSamplesWindow(platform, w) {
+					conts[c.String()] = xs
+				}
+				if got, want := dropEmpty(conts), windowedBy(na, w, byContinent); !reflect.DeepEqual(got, want) {
+					t.Errorf("partitions=%d: ContinentSamplesWindow(%s, %+v) diverges from cycle-filtered assignment", parts, platform, w)
+				}
+				if got, want := dropEmpty(st.PairSamples(platform, w)), windowedBy(na, w, byPair); !reflect.DeepEqual(got, want) {
+					t.Errorf("partitions=%d: PairSamples(%s, %+v) diverges from cycle-filtered assignment", parts, platform, w)
 				}
 			}
 		}
@@ -113,15 +137,18 @@ func TestWindowedQueriesMatchGroundTruth(t *testing.T) {
 		// Quantiles over a sub-window must come from the windowed merge.
 		w := Window{From: 3, To: 11}
 		want := windowedByCountry(analysis.CollectStore(ds).Nearest("speedchecker"), w)
+		merged := st.CountrySamplesWindow("speedchecker", w)
 		for country, xs := range want {
-			got, n, err := st.CountryQuantilesWindow("speedchecker", country, w, 0.25, 0.5, 0.9)
+			got, err := stats.QuantilesSorted(merged[country], 0.25, 0.5, 0.9)
 			if err != nil {
-				t.Fatalf("partitions=%d: CountryQuantilesWindow(%s): %v", parts, country, err)
+				t.Fatalf("partitions=%d: quantiles of windowed %s: %v", parts, country, err)
 			}
-			if n != len(xs) {
-				t.Errorf("partitions=%d: CountryQuantilesWindow(%s) n = %d, want %d", parts, country, n, len(xs))
+			if n := len(merged[country]); n != len(xs) {
+				t.Errorf("partitions=%d: windowed %s n = %d, want %d", parts, country, n, len(xs))
 			}
-			_ = got
+			if wq, _ := stats.Quantiles(xs, 0.25, 0.5, 0.9); !reflect.DeepEqual(got, wq) {
+				t.Errorf("partitions=%d: windowed %s quantiles = %v, want %v", parts, country, got, wq)
+			}
 		}
 	}
 }
