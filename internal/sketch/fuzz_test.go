@@ -1,9 +1,12 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // FuzzSketchMerge decodes two arbitrary byte strings as sketches and,
@@ -83,6 +86,67 @@ func FuzzSketchMerge(f *testing.F) {
 		out := a.AppendBinary(nil)
 		if _, rest, err := Decode(out); err != nil || len(rest) != 0 {
 			t.Fatalf("merged sketch does not round-trip: %v (rest %d)", err, len(rest))
+		}
+	})
+}
+
+// FuzzSketchShift builds two digests from arbitrary float lists — eight
+// bytes a value, non-finite ones and magnitudes past 1e300 (where a
+// centroid's mean update could overflow) dropped — at an arbitrary
+// compression, and holds Shift to the Mann-Whitney statistic's
+// invariants: it lies in [0, 1], Shift(a, b) + Shift(b, a) is 1, and on
+// all-singleton digests it is stats.Sorted.Shift to the bit.
+func FuzzSketchShift(f *testing.F) {
+	floats := func(xs ...float64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	spread := func(n int, off float64) []byte {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Mod(float64(i)*7.31, 50) - 10 + off
+		}
+		return floats(xs...)
+	}
+	f.Add(uint16(DefaultCompression), []byte{}, floats(1, 2, 3))
+	f.Add(uint16(DefaultCompression), floats(1, 2, 2, 3), floats(2, 2, 0, -1, math.Copysign(0, -1)))
+	f.Add(uint16(10), spread(30, 0), spread(40, 3))
+	f.Add(uint16(DefaultCompression), spread(600, 0), spread(400, 5))
+
+	f.Fuzz(func(t *testing.T, compression uint16, ab, bb []byte) {
+		values := func(b []byte) []float64 {
+			var xs []float64
+			for ; len(b) >= 8; b = b[8:] {
+				x := math.Float64frombits(binary.LittleEndian.Uint64(b))
+				if math.Abs(x) <= 1e300 { // false for NaN
+					xs = append(xs, x)
+				}
+			}
+			return xs
+		}
+		xs, ys := values(ab), values(bb)
+		a, b := New(int(compression)), New(int(compression))
+		for _, x := range xs {
+			a.Add(x)
+		}
+		for _, y := range ys {
+			b.Add(y)
+		}
+		sab, sba := a.Shift(b), b.Shift(a)
+		if !(sab >= 0 && sab <= 1) || !(sba >= 0 && sba <= 1) {
+			t.Fatalf("Shift outside [0, 1]: %v, %v", sab, sba)
+		}
+		if d := math.Abs(sab + sba - 1); !(d <= 1e-12) {
+			t.Fatalf("Shift(a, b) + Shift(b, a) = %v + %v, off 1 by %v", sab, sba, d)
+		}
+		if a.Centroids() == a.N() && b.Centroids() == b.N() {
+			want := stats.SortedCopy(xs).Shift(stats.SortedCopy(ys))
+			if math.Float64bits(sab) != math.Float64bits(want) {
+				t.Fatalf("singleton digests: Shift = %v, stats.Sorted.Shift = %v", sab, want)
+			}
 		}
 	})
 }

@@ -192,16 +192,37 @@ func (s *Sketch) kScale(q float64) float64 {
 	return float64(s.compression) / (2 * math.Pi) * math.Asin(2*q-1)
 }
 
-// compress runs the single deterministic compaction pass over a
-// mean-sorted centroid list: neighbours merge while the combined
-// centroid still spans ≤ 1 unit of the k₁ scale. It compacts in place
-// and keeps the slices, so they must be the caller's own — the fresh
-// pair merge2Sorted returned, never a slice another sketch can see.
+// compress compacts a mean-sorted centroid list holding s.count
+// observations into s's centroids. It compacts in place and keeps the
+// slices, so they must be the caller's own — the fresh pair
+// merge2Sorted returned, never a slice another sketch can see.
+//
+// A list of singletons (count == len(means): every weight is 1) that
+// singletonsStay admits skips the pass, which would merge nothing.
 func (s *Sketch) compress(means []float64, weights []uint64) {
-	if len(means) == 0 {
-		s.means, s.weights = s.means[:0], s.weights[:0]
-		return
+	n := len(means)
+	if n > 0 && !(s.count == uint64(n) && singletonsStay(n, s.compression)) {
+		n = s.compactPass(means, weights)
 	}
+	s.means, s.weights = means[:n], weights[:n]
+}
+
+// singletonsStay reports whether compactPass leaves a list of n unit
+// weights as it is. Two unit weights span 2/n of q, and k₁'s slope
+// δ/(π·√(1−(2q−1)²)) is never below δ/π, so they span at least
+// 2δ/(π·n) units of k: more than one, which no merge may span, whenever
+// n < 2δ/π. The bound n < 2δ/π − 1 leaves the pass's rounding a wide
+// margin.
+func singletonsStay(n, compression int) bool {
+	return float64(n) < 2*float64(compression)/math.Pi-1
+}
+
+// compactPass is the single deterministic compaction pass over a
+// non-empty mean-sorted centroid list: neighbours merge while the
+// combined centroid still spans ≤ 1 unit of the k₁ scale. It writes
+// the compacted list over the front of the input and returns its
+// length.
+func (s *Sketch) compactPass(means []float64, weights []uint64) int {
 	total := float64(s.count)
 	n := 0 // centroids written; n < i below, so a write never overtakes a read
 	var wSoFar float64
@@ -221,7 +242,7 @@ func (s *Sketch) compress(means []float64, weights []uint64) {
 		}
 	}
 	means[n], weights[n] = curM, uint64(curW)
-	s.means, s.weights = means[:n+1], weights[:n+1]
+	return n + 1
 }
 
 // Merge folds other into s. Neither sketch's compression changes; the
@@ -399,20 +420,38 @@ func (s *Sketch) Curve() stats.CDF {
 	return cdf
 }
 
-// shiftPoints is the quantile-grid resolution of Shift.
-const shiftPoints = 201
-
-// Shift estimates the Mann-Whitney AUC P(after > s) + ½·P(after = s)
-// as the mean of s's CDF over after's quantiles on the midpoint grid
-// (i+½)/201 — the continuous-distribution identity E_y[F_s(y)]. Both
-// walks ascend, so each digest is swept once.
+// Shift is the Mann-Whitney AUC P(after > s) + ½·P(after = s) with
+// every centroid read as a point mass at its mean: U sums, over after's
+// centroids, weight × (s's weight strictly below its mean + ½ the weight
+// tied with it), and Shift is U / (N_s·N_after). Both centroid lists are
+// sorted, so one merge walk with two cursors over s answers in
+// O(c_s + c_after). On all-singleton digests this is the exact
+// statistic, bit for bit what stats.Sorted.Shift returns on the same
+// observations. Either side empty returns 0.5 (no evidence of a shift).
 func (s *Sketch) Shift(after *Sketch) float64 {
-	ys, fs := after.walk(), s.walk()
-	var sum float64
-	for i := 0; i < shiftPoints; i++ {
-		sum += fs.cdf(ys.quantile((float64(i) + 0.5) / shiftPoints))
+	s.flush()
+	after.flush()
+	if s.count == 0 || after.count == 0 {
+		return 0.5
 	}
-	return sum / shiftPoints
+	// For each of after's means, s's weight strictly below it (lt, up to
+	// centroid i) and at or below it (le, up to centroid j); the means
+	// ascend, so both cursors only advance.
+	var u float64
+	var lt, le uint64
+	i, j := 0, 0
+	for k, v := range after.means {
+		for i < len(s.means) && s.means[i] < v {
+			lt += s.weights[i]
+			i++
+		}
+		for j < len(s.means) && s.means[j] <= v {
+			le += s.weights[j]
+			j++
+		}
+		u += float64(after.weights[k]) * (float64(lt) + float64(le-lt)/2)
+	}
+	return u / (float64(s.count) * float64(after.count))
 }
 
 // lerp interpolates the point at x on the segment (x0,y0)-(x1,y1);

@@ -284,8 +284,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // checkBatch requires Quantiles, and one walk answering CDF keys in
-// turn (as Shift and Curve read a digest), to answer exactly — to the
-// bit — what one Quantile or CDF call per key answers.
+// turn, to answer exactly — to the bit — what one Quantile or CDF call
+// per key answers.
 func checkBatch(t *testing.T, s *Sketch, qs, xs []float64) {
 	t.Helper()
 	for i, got := range s.Quantiles(nil, qs) {
@@ -413,5 +413,132 @@ func TestMergeAllocatesTwoSlices(t *testing.T) {
 	b.Centroids()
 	if n := testing.AllocsPerRun(50, func() { a.Merge(b) }); n != 2 {
 		t.Errorf("Merge allocates %v times, want 2", n)
+	}
+}
+
+// digestOf builds a sketch of compression δ from xs in the order given.
+func digestOf(compression int, xs []float64) *Sketch {
+	s := New(compression)
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return s
+}
+
+// checkEmptySide holds a Shifter to the no-evidence contract: a side
+// with no observations scores 0.5, whichever side it is.
+func checkEmptySide[D stats.Shifter[D]](t *testing.T, name string, empty, full D) {
+	t.Helper()
+	for _, c := range []struct {
+		pair string
+		got  float64
+	}{
+		{"empty before", empty.Shift(full)},
+		{"empty after", full.Shift(empty)},
+		{"both empty", empty.Shift(empty)},
+	} {
+		if c.got != 0.5 {
+			t.Errorf("%s: %s: Shift = %v, want 0.5", name, c.pair, c.got)
+		}
+	}
+}
+
+func TestShiftEmptySide(t *testing.T) {
+	xs := []float64{3, 1, 4, 1, 5}
+	checkEmptySide(t, "stats.Sorted", stats.Sorted(nil), stats.SortedCopy(xs))
+	checkEmptySide(t, "sketch", New(DefaultCompression), digestOf(DefaultCompression, xs))
+}
+
+// shiftSample draws n values on a coarse grid — so the two sides tie
+// across each other — that straddles zero: negatives, zeros and
+// positives, offset by off.
+func shiftSample(rng *rand.Rand, n int, off float64) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = math.Round(rng.NormFloat64()*4)/2 + off
+	}
+	return xs
+}
+
+// TestSketchShiftMatchesSorted: on all-singleton digests the shift walk
+// is the exact Mann-Whitney statistic, bit for bit stats.Sorted.Shift;
+// on compressed digests it stays within the tolerance the segment
+// reader's changepoint is held to.
+func TestSketchShiftMatchesSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, compression := range []int{10, 200} {
+		limit := singletonLimit(compression)
+		for trial := 0; trial < 500; trial++ {
+			xs := shiftSample(rng, 1+rng.Intn(limit), 0)
+			ys := shiftSample(rng, 1+rng.Intn(limit), float64(rng.Intn(5))-2)
+			a, b := digestOf(compression, xs), digestOf(compression, ys)
+			if a.Centroids() != a.N() || b.Centroids() != b.N() {
+				t.Fatalf("δ=%d: digests of %d and %d values are not all singletons", compression, a.N(), b.N())
+			}
+			got, want := a.Shift(b), stats.SortedCopy(xs).Shift(stats.SortedCopy(ys))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("δ=%d, n=%d/%d: Shift = %v, stats.Sorted.Shift = %v", compression, len(xs), len(ys), got, want)
+			}
+		}
+		for trial := 0; trial < 6; trial++ {
+			xs := shiftSample(rng, 5000+rng.Intn(20000), 0)
+			ys := shiftSample(rng, 5000+rng.Intn(20000), float64(trial)/2)
+			got := digestOf(compression, xs).Shift(digestOf(compression, ys))
+			want := stats.SortedCopy(xs).Shift(stats.SortedCopy(ys))
+			if math.Abs(got-want) > 0.05 {
+				t.Errorf("δ=%d, n=%d/%d: compressed Shift = %v, exact %v", compression, len(xs), len(ys), got, want)
+			}
+		}
+	}
+}
+
+// singletonLimit is the longest all-singleton list compress keeps
+// without a pass.
+func singletonLimit(compression int) int {
+	n := 0
+	for singletonsStay(n+1, compression) {
+		n++
+	}
+	return n
+}
+
+// TestCompactPassKeepsShortSingletons proves compress's skip: for every
+// compression, the pass returns every all-singleton list singletonsStay
+// admits bit for bit, and one just past 2δ/π loses a centroid, so the
+// bound is tight to within a few observations.
+func TestCompactPassKeepsShortSingletons(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	singletons := func(compression, n int) (*Sketch, []float64, []uint64) {
+		means := shiftSample(rng, n, 0)
+		sort.Float64s(means)
+		weights := make([]uint64, n)
+		for i := range weights {
+			weights[i] = 1
+		}
+		return &Sketch{compression: compression, count: uint64(n)}, means, weights
+	}
+	for _, compression := range []int{10, 50, 200, 1000, 10000} {
+		limit := singletonLimit(compression)
+		lengths := []int{limit}
+		for n, step := 1, max(1, limit/400); n < limit; n += step { // every length up to δ = 1000
+			lengths = append(lengths, n)
+		}
+		for _, n := range lengths {
+			s, means, weights := singletons(compression, n)
+			wantM := append([]float64(nil), means...)
+			if got := s.compactPass(means, weights); got != n {
+				t.Fatalf("δ=%d: the pass merged %d singletons into %d centroids", compression, n, got)
+			}
+			for i := range means {
+				if math.Float64bits(means[i]) != math.Float64bits(wantM[i]) || weights[i] != 1 {
+					t.Fatalf("δ=%d, n=%d: centroid %d became (%v, %d), was (%v, 1)", compression, n, i, means[i], weights[i], wantM[i])
+				}
+			}
+		}
+		n := int(math.Ceil(2*float64(compression)/math.Pi)) + 1
+		s, means, weights := singletons(compression, n)
+		if got := s.compactPass(means, weights); got >= n {
+			t.Errorf("δ=%d: %d singletons pass unmerged; the skip's bound %d is not tight", compression, n, limit)
+		}
 	}
 }

@@ -28,11 +28,12 @@ type Distribution interface {
 // Shifter is the constraint of a kernel that scores location shifts:
 // a Distribution that compares itself against another of its own
 // kind, so the type a kernel is given picks the method — exact for
-// Sorted, a grid estimate for digests.
+// Sorted, centroids read as point masses for digests.
 type Shifter[D any] interface {
 	Distribution
 	// Shift is the Mann-Whitney AUC P(after > this) + ½·P(after = this):
-	// 0.5 for no shift, 1 for a complete upward one.
+	// 0.5 for no shift, 1 for a complete upward one, and 0.5 when
+	// either side is empty.
 	Shift(after D) float64
 }
 

@@ -224,9 +224,9 @@ func asSorted(m map[string][]float64) map[string]stats.Sorted {
 
 // ChangepointOf is the changepoint kernel over per-pair distributions
 // on either side of the cycle: medians, their delta and the shift
-// score, which D itself computes — exactly for stats.Sorted, on a
-// quantile grid for digests. Pairs on one side only are reported as
-// appeared or disappeared.
+// score, which D itself computes — exactly for stats.Sorted, from
+// centroid point masses for digests. Pairs on one side only are
+// reported as appeared or disappeared.
 func ChangepointOf[D stats.Shifter[D]](pre, post map[string]D) []ChangepointEntry {
 	names := make(map[string]struct{}, len(pre)+len(post))
 	for n := range pre {
