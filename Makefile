@@ -36,8 +36,9 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # Short fuzz pass over the text and binary codecs, the lazily seeded
-# random source, the median's confidence interval and the digest's
-# shift score (regression corpus + 10s each).
+# random source, the median's confidence interval, the digest's shift
+# score and its decode into a reused digest (regression corpus + 10s
+# each).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzImportPings -fuzztime=10s ./internal/atlasfmt/
 	$(GO) test -run=NONE -fuzz=FuzzImportTraces -fuzztime=10s ./internal/atlasfmt/
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSegmentDecode -fuzztime=10s -fuzzminimizetime=1x ./internal/segment/
 	$(GO) test -run=NONE -fuzz=FuzzSketchMerge -fuzztime=10s -fuzzminimizetime=1x ./internal/sketch/
 	$(GO) test -run=NONE -fuzz=FuzzSketchShift -fuzztime=10s -fuzzminimizetime=1x ./internal/sketch/
+	$(GO) test -run=NONE -fuzz=FuzzSketchDecodeInto -fuzztime=10s -fuzzminimizetime=1x ./internal/sketch/
 	$(GO) test -run=NONE -fuzz=FuzzSource -fuzztime=10s ./internal/detrand/
 	$(GO) test -run=NONE -fuzz=FuzzMedianCI -fuzztime=10s ./internal/stats/
 
@@ -66,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSegmentDecode -fuzztime=2s -fuzzminimizetime=1x ./internal/segment/
 	$(GO) test -run=NONE -fuzz=FuzzSketchMerge -fuzztime=2s -fuzzminimizetime=1x ./internal/sketch/
 	$(GO) test -run=NONE -fuzz=FuzzSketchShift -fuzztime=2s -fuzzminimizetime=1x ./internal/sketch/
+	$(GO) test -run=NONE -fuzz=FuzzSketchDecodeInto -fuzztime=2s -fuzzminimizetime=1x ./internal/sketch/
 	$(GO) test -run=NONE -fuzz=FuzzSource -fuzztime=2s ./internal/detrand/
 	$(GO) test -run=NONE -fuzz=FuzzMedianCI -fuzztime=2s ./internal/stats/
 

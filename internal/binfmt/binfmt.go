@@ -229,11 +229,15 @@ func (d *Dec) Count(max int) int {
 }
 
 // String reads one length-prefixed string of at most max bytes.
-func (d *Dec) String(max int) string {
+func (d *Dec) String(max int) string { return string(d.Bytes(max)) }
+
+// Bytes is String without the copy: the returned slice aliases the
+// input.
+func (d *Dec) Bytes(max int) []byte {
 	n := d.Count(max)
-	s := string(d.b[:n])
+	b := d.b[:n:n]
 	d.b = d.b[n:]
-	return s
+	return b
 }
 
 // Floats fills dst with raw 8-byte values (AppendFloats).

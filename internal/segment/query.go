@@ -35,12 +35,13 @@ func (r *Reader) Summary() store.Summary { return r.summary }
 func (r *Reader) gatherExact(dim store.Dim, platform string, w store.Window) map[string][]float64 {
 	parts := map[string][][]float64{}
 	for _, ss := range r.shards {
-		for _, k := range ss.keys {
-			if k.dim != dim || k.platform != platform {
+		for i := range ss.groups {
+			g := &ss.groups[i]
+			if g.key.dim != dim || g.key.platform != platform {
 				continue
 			}
-			for _, vec := range r.groupVectors(ss, ss.groups[k], w) {
-				parts[k.name] = append(parts[k.name], vec)
+			for _, vec := range r.groupVectors(ss, g, w) {
+				parts[g.key.name] = append(parts[g.key.name], vec)
 			}
 		}
 	}

@@ -1,12 +1,14 @@
 package segment
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/binfmt"
@@ -87,8 +89,10 @@ type qkey struct {
 }
 
 // groupBlocks are one group's footer entries, split by kind, each
-// sorted by (partition, offset).
+// sorted by (partition, offset): sub-slices of the shard's one
+// group-ordered entry array.
 type groupBlocks struct {
+	key      qkey
 	cols     []entry
 	sketches []entry
 }
@@ -98,12 +102,11 @@ type shardSeg struct {
 	data      []byte
 	close     func() error
 	footerOff int
-	dictBytes int // the dictionary block's frame length
-	dict      []string
+	dictBytes int      // the dictionary block's frame length
+	dict      [][]byte // aliases data
 	parts     []partZone
-	groups    map[qkey]*groupBlocks
-	keys      []qkey // sorted; deterministic iteration order
-	entries   []entry
+	entries   []entry       // footer order, until buildIndex lays them out by group
+	groups    []groupBlocks // sorted by (dim, platform, name); built by Open only
 }
 
 // Open maps the segment directory written by Write and returns a
@@ -144,6 +147,7 @@ func Open(dir string, opts Options) (*Reader, error) {
 			return nil, fmt.Errorf("%s: %w", ShardFile(i), perr)
 		}
 		ss.close = closeFn
+		ss.buildIndex()
 		if len(ss.parts) != r.meta.partitions {
 			closeFn()
 			r.Close()
@@ -205,9 +209,9 @@ func (r *Reader) buildSummary() store.Summary {
 		if sm.rows > sum.MaxShardRows {
 			sum.MaxShardRows = sm.rows
 		}
-		for _, k := range r.shards[i].keys {
-			if k.dim == store.DimCountry {
-				countries[k.name] = struct{}{}
+		for _, g := range r.shards[i].groups {
+			if g.key.dim == store.DimCountry {
+				countries[g.key.name] = struct{}{}
 			}
 		}
 		for _, p := range sm.providers {
@@ -320,8 +324,9 @@ func (m *fileMeta) parsePeeringBlock(c *binfmt.Dec) error {
 }
 
 // parseShard parses a shard file image: preamble, tail, footer and
-// dictionary, building the per-group block index. Column and sketch
-// block payloads are left untouched for lazy decoding.
+// dictionary, every footer entry checked. Column and sketch block
+// payloads are left untouched; Open then indexes the entries
+// (buildIndex), CheckShard decodes them in footer order.
 func parseShard(data []byte) (*shardSeg, error) {
 	if _, err := checkPreamble(data); err != nil {
 		return nil, err
@@ -364,9 +369,9 @@ func (ss *shardSeg) parseFooter(c *binfmt.Dec) error {
 		return fmt.Errorf("dict: %w", err)
 	}
 	ss.dictBytes = dictEnd - dictOff
-	ss.dict = make([]string, dc.Count(maxDictStrings))
+	ss.dict = make([][]byte, dc.Count(maxDictStrings))
 	for i := range ss.dict {
-		ss.dict[i] = dc.String(maxDictStringLen)
+		ss.dict[i] = dc.Bytes(maxDictStringLen)
 	}
 	if err := dc.End(); err != nil {
 		return blockErr("dict", err)
@@ -413,7 +418,6 @@ func (ss *shardSeg) parseFooter(c *binfmt.Dec) error {
 	if err := c.End(); err != nil {
 		return blockErr("footer", err)
 	}
-	ss.buildIndex()
 	return nil
 }
 
@@ -445,52 +449,128 @@ func (ss *shardSeg) checkEntry(e entry) error {
 	return nil
 }
 
+// buildIndex lays the footer's entries out group by group — groups in
+// (dim, platform, name) order, each group's column entries and then its
+// sketch entries, each by (partition, offset) — and cuts ss.groups out
+// of that one array.
+//
+// No entry is sorted and no string compared per entry. The dictionary
+// is ranked by string once; a dictionary may repeat a string, and ids
+// of equal strings share a rank, so they key one group. Two stable
+// counting passes over entry indices — by (name, kind), then by (dim,
+// platform) — order the entries, footer order breaking ties. The
+// writer lists a group's blocks by partition and offset already; a
+// footer is a claim, not a truth, so a group that is not in that order
+// is sorted.
 func (ss *shardSeg) buildIndex() {
-	ss.groups = make(map[qkey]*groupBlocks)
-	for _, e := range ss.entries {
-		k := qkey{dim: e.dim, platform: ss.dict[e.platformID-1], name: ss.dict[e.nameID-1]}
-		g := ss.groups[k]
-		if g == nil {
-			g = &groupBlocks{}
-			ss.groups[k] = g
-			ss.keys = append(ss.keys, k)
+	names, byString := make([]string, len(ss.dict)), make([]uint32, len(ss.dict))
+	for i, b := range ss.dict {
+		names[i], byString[i] = string(b), uint32(i)
+	}
+	slices.SortFunc(byString, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
+	rank := make([]int, len(names)+1) // by 1-based id
+	ranks := 0
+	for i, id := range byString {
+		if i > 0 && names[id] != names[byString[i-1]] {
+			ranks++
 		}
-		if e.kind == BlockColumn {
-			g.cols = append(g.cols, e)
-		} else {
-			g.sketches = append(g.sketches, e)
+		rank[id+1] = ranks
+	}
+	ranks++
+
+	es := ss.entries
+	order, tmp := make([]int32, len(es)), make([]int32, len(es))
+	for i := range tmp {
+		tmp[i] = int32(i)
+	}
+	counts := make([]int, (int(store.DimPair)+1)*ranks+1)
+	countingPass(es, tmp, order, counts[:2*ranks+1], func(e *entry) int {
+		if e.kind == BlockSketch {
+			return 2*rank[e.nameID] + 1
+		}
+		return 2 * rank[e.nameID]
+	})
+	countingPass(es, order, tmp, counts, func(e *entry) int {
+		return int(e.dim)*ranks + rank[e.platformID]
+	})
+	flat := make([]entry, len(es))
+	for i, j := range tmp {
+		flat[i] = es[j]
+	}
+	ss.entries = flat
+
+	sameGroup := func(a, b *entry) bool {
+		return a.dim == b.dim && rank[a.platformID] == rank[b.platformID] && rank[a.nameID] == rank[b.nameID]
+	}
+	ngroups := 0
+	for i := range flat {
+		if i == 0 || !sameGroup(&flat[i-1], &flat[i]) {
+			ngroups++
 		}
 	}
-	for _, g := range ss.groups {
+	ss.groups = make([]groupBlocks, 0, ngroups)
+	for lo := 0; lo < len(flat); {
+		mid, hi := lo, lo+1
+		for hi < len(flat) && sameGroup(&flat[lo], &flat[hi]) {
+			hi++
+		}
+		for mid < hi && flat[mid].kind == BlockColumn {
+			mid++
+		}
+		e := &flat[lo]
+		g := groupBlocks{
+			key:      qkey{dim: e.dim, platform: names[e.platformID-1], name: names[e.nameID-1]},
+			cols:     flat[lo:mid:mid],
+			sketches: flat[mid:hi:hi],
+		}
 		sortEntries(g.cols)
 		sortEntries(g.sketches)
+		ss.groups = append(ss.groups, g)
+		lo = hi
 	}
-	sort.Slice(ss.keys, func(a, b int) bool {
-		ka, kb := ss.keys[a], ss.keys[b]
-		if ka.dim != kb.dim {
-			return ka.dim < kb.dim
-		}
-		if ka.platform != kb.platform {
-			return ka.platform < kb.platform
-		}
-		return ka.name < kb.name
-	})
 }
 
+// countingPass places the entry indices of src into dst, stably
+// ordered by key, which must fall in [0, len(counts)-1).
+func countingPass(es []entry, src, dst []int32, counts []int, key func(*entry) int) {
+	clear(counts)
+	for _, i := range src {
+		counts[key(&es[i])+1]++
+	}
+	for k := 1; k < len(counts); k++ {
+		counts[k] += counts[k-1]
+	}
+	for _, i := range src {
+		k := key(&es[i])
+		dst[counts[k]] = i
+		counts[k]++
+	}
+}
+
+// sortEntries orders one group's entries of one kind by (partition,
+// offset), leaving a run already in that order as it is.
 func sortEntries(es []entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].part != es[j].part {
-			return es[i].part < es[j].part
+	for i := 1; i < len(es); i++ {
+		if es[i].part < es[i-1].part || es[i].part == es[i-1].part && es[i].offset < es[i-1].offset {
+			slices.SortStableFunc(es, func(a, b entry) int {
+				return cmp.Or(cmp.Compare(a.part, b.part), cmp.Compare(a.offset, b.offset))
+			})
+			return
 		}
-		return es[i].offset < es[j].offset
-	})
+	}
 }
 
-// readColumn decodes one column block, cross-checking the decoded rows
-// against the footer entry's row count and zone maps — a block whose
-// data escapes its advertised ranges is a zone-map lie, not valid
-// data.
+// readColumn decodes one column block into slices of its own; see
+// decodeColumn.
 func (ss *shardSeg) readColumn(e entry) ([]float64, []int32, error) {
+	return ss.decodeColumn(e, nil, nil)
+}
+
+// decodeColumn decodes one column block into rtt and cycle, grown as
+// needed, cross-checking the decoded rows against the footer entry's
+// row count and zone maps — a block whose data escapes its advertised
+// ranges is a zone-map lie, not valid data.
+func (ss *shardSeg) decodeColumn(e entry, rtt []float64, cycle []int32) ([]float64, []int32, error) {
 	c, _, err := blockAt(ss.data[:e.offset+e.length], e.offset, BlockColumn)
 	if err != nil {
 		return nil, nil, err
@@ -499,7 +579,7 @@ func (ss *shardSeg) readColumn(e entry) ([]float64, []int32, error) {
 	if c.Err() == nil && rows != e.rows {
 		c.Fail(fmt.Errorf("%w: block rows %d, entry says %d", ErrCorrupt, rows, e.rows))
 	}
-	rtt, cycle := make([]float64, rows), make([]int32, rows)
+	rtt, cycle = slices.Grow(rtt[:0], rows)[:rows], slices.Grow(cycle[:0], rows)[:rows]
 	switch enc {
 	case colDelta:
 		c.FloatDeltas(rtt)
@@ -533,27 +613,37 @@ func (ss *shardSeg) readColumn(e entry) ([]float64, []int32, error) {
 	return rtt, cycle, nil
 }
 
-// readSketch decodes one sketch block, cross-checking its count
-// against the footer entry.
+// readSketch decodes one sketch block into a digest of its own; see
+// decodeSketch.
 func (ss *shardSeg) readSketch(e entry) (*sketch.Sketch, error) {
-	c, _, err := blockAt(ss.data[:e.offset+e.length], e.offset, BlockSketch)
-	if err != nil {
+	sk := new(sketch.Sketch)
+	if err := ss.decodeSketch(e, sk); err != nil {
 		return nil, err
 	}
-	sk, rest, err := sketch.Decode(c.Rest())
+	return sk, nil
+}
+
+// decodeSketch decodes one sketch block into sk (sketch.DecodeInto),
+// cross-checking its count and range against the footer entry.
+func (ss *shardSeg) decodeSketch(e entry, sk *sketch.Sketch) error {
+	c, _, err := blockAt(ss.data[:e.offset+e.length], e.offset, BlockSketch)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return err
+	}
+	rest, err := sketch.DecodeInto(sk, c.Rest())
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in sketch block", ErrCorrupt, len(rest))
+		return fmt.Errorf("%w: %d trailing bytes in sketch block", ErrCorrupt, len(rest))
 	}
 	if sk.Count() != uint64(e.rows) {
-		return nil, fmt.Errorf("%w: sketch count %d, entry says %d", ErrZoneMap, sk.Count(), e.rows)
+		return fmt.Errorf("%w: sketch count %d, entry says %d", ErrZoneMap, sk.Count(), e.rows)
 	}
 	if sk.Count() > 0 && (sk.Min() < e.minRTT || sk.Max() > e.maxRTT) {
-		return nil, fmt.Errorf("%w: sketch range outside entry", ErrZoneMap)
+		return fmt.Errorf("%w: sketch range outside entry", ErrZoneMap)
 	}
-	return sk, nil
+	return nil
 }
 
 // Usage is where a segment's bytes go, framing included: per block
@@ -577,19 +667,28 @@ func (u *Usage) AddMeta(data []byte) error {
 }
 
 // AddShard fully validates a shard file image — structure, CRCs,
-// dictionary, footer index, and every indexed block decoded with its
-// zone maps cross-checked — and adds its bytes to u.
+// dictionary, footer entries, and every entry's block decoded with its
+// zone maps cross-checked — and adds its bytes to u. It builds no
+// index, and every block decodes into the same buffers.
 func (u *Usage) AddShard(data []byte) error {
 	ss, err := parseShard(data)
 	if err != nil {
 		return err
 	}
+	maxRows := 0
+	for _, e := range ss.entries {
+		if e.kind == BlockColumn {
+			maxRows = max(maxRows, e.rows)
+		}
+	}
+	rtt, cycle := make([]float64, 0, maxRows), make([]int32, 0, maxRows)
+	var sk sketch.Sketch
 	for _, e := range ss.entries {
 		switch e.kind {
 		case BlockColumn:
-			_, _, err = ss.readColumn(e)
+			rtt, cycle, err = ss.decodeColumn(e, rtt, cycle)
 		case BlockSketch:
-			_, err = ss.readSketch(e)
+			err = ss.decodeSketch(e, &sk)
 		case BlockMeta, BlockDict, BlockPeering, BlockFooter:
 			err = fmt.Errorf("%w: entry kind %v", ErrCorrupt, e.kind)
 		default:

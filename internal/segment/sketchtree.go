@@ -59,8 +59,8 @@ func (r *Reader) indexTrees() {
 	r.trees = map[treeKey]*sketchTree{}
 	for _, ss := range r.shards {
 		var prev treeKey
-		for _, k := range ss.keys { // sorted: a tree's keys are adjacent
-			if tk := (treeKey{k.dim, k.platform}); tk != prev {
+		for _, g := range ss.groups { // sorted: a tree's groups are adjacent
+			if tk := (treeKey{g.key.dim, g.key.platform}); tk != prev {
 				if r.trees[tk] == nil {
 					r.trees[tk] = &sketchTree{key: tk}
 				}
@@ -162,11 +162,11 @@ func (r *Reader) node(t *sketchTree, idx, lo, hi int) sketchSet {
 func (r *Reader) leaf(k treeKey, part int) sketchSet {
 	view := sketchSet{}
 	for _, ss := range r.shards {
-		for _, gk := range ss.keys {
-			if gk.dim != k.dim || gk.platform != k.platform {
+		for _, g := range ss.groups {
+			if g.key.dim != k.dim || g.key.platform != k.platform {
 				continue
 			}
-			for _, e := range ss.groups[gk].sketches {
+			for _, e := range g.sketches {
 				if e.part != part {
 					continue
 				}
@@ -176,11 +176,11 @@ func (r *Reader) leaf(k treeKey, part int) sketchSet {
 					continue
 				}
 				r.mRead.Inc()
-				if dst := view[gk.name]; dst != nil {
+				if dst := view[g.key.name]; dst != nil {
 					dst.Merge(sk) // dst is this leaf's own, not yet published
 					r.mSketches.Inc()
 				} else {
-					view[gk.name] = sk
+					view[g.key.name] = sk
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"sort"
@@ -9,32 +10,100 @@ import (
 	"repro/internal/stats"
 )
 
-// FuzzSketchMerge decodes two arbitrary byte strings as sketches and,
-// when both parse, merges them and checks the structural invariants a
-// downstream segment query relies on: count additivity, min/max
-// envelope, monotone quantiles, and a re-serializable result.
-func FuzzSketchMerge(f *testing.F) {
+// seedDigests serializes four digests for the fuzz corpora: empty,
+// small (all singletons), big (compressed) and one with negative means
+// (the raw-means encoding).
+func seedDigests() (empty, small, big, neg []byte) {
 	seed := func(build func(s *Sketch)) []byte {
 		s := New(DefaultCompression)
 		build(s)
 		return s.AppendBinary(nil)
 	}
-	empty := seed(func(*Sketch) {})
-	small := seed(func(s *Sketch) {
+	empty = seed(func(*Sketch) {})
+	small = seed(func(s *Sketch) {
 		for i := 0; i < 40; i++ {
 			s.Add(float64(i) + 0.5)
 		}
 	})
-	big := seed(func(s *Sketch) {
+	big = seed(func(s *Sketch) {
 		for i := 0; i < 5000; i++ {
 			s.Add(math.Mod(float64(i)*7.31, 250) + 1)
 		}
 	})
-	neg := seed(func(s *Sketch) {
+	neg = seed(func(s *Sketch) {
 		for i := -50; i < 50; i++ {
 			s.Add(float64(i))
 		}
 	})
+	return empty, small, big, neg
+}
+
+// FuzzSketchDecodeInto decodes arbitrary bytes into a digest that
+// already holds another one — decoded from the first argument, or
+// built with observations still buffered when that does not decode —
+// with garbage in the spare capacity of its centroid and buffer slices.
+// Whatever it held, the result must be a fresh Decode's: the same
+// error-or-not, and on success the same remainder, encoding, count,
+// range and quantiles.
+func FuzzSketchDecodeInto(f *testing.F) {
+	empty, small, big, neg := seedDigests()
+	f.Add(big, small)
+	f.Add(small, big)
+	f.Add(neg, empty)
+	f.Add(empty, neg)
+	f.Add([]byte{}, append(small, 7))
+	f.Add(big, small[:len(small)-1])
+
+	f.Fuzz(func(t *testing.T, prev, b []byte) {
+		want, wantRest, wantErr := Decode(b)
+		dst, _, err := Decode(prev)
+		if err != nil {
+			dst = New(DefaultCompression)
+			for _, x := range []float64{5, 1, 3} {
+				dst.Add(x)
+			}
+		}
+		dst.means = append(dst.means, math.NaN(), -1, math.Inf(1))[:len(dst.means)]
+		dst.weights = append(dst.weights, 0, math.MaxUint64)[:len(dst.weights)]
+		dst.buf = append(dst.buf, 2, math.NaN())
+		dst.buf = append(dst.buf, math.Inf(-1), 4)[:len(dst.buf)]
+		rest, err := DecodeInto(dst, b)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("DecodeInto error %v, fresh Decode error %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(rest, wantRest) {
+			t.Fatalf("remainder %d bytes, fresh Decode left %d", len(rest), len(wantRest))
+		}
+		if got, exp := dst.AppendBinary(nil), want.AppendBinary(nil); !bytes.Equal(got, exp) {
+			t.Fatalf("encodes as %x, fresh digest as %x", got, exp)
+		}
+		if dst.Count() != want.Count() || math.Float64bits(dst.Min()) != math.Float64bits(want.Min()) ||
+			math.Float64bits(dst.Max()) != math.Float64bits(want.Max()) {
+			t.Fatalf("count/min/max %d/%v/%v, fresh %d/%v/%v",
+				dst.Count(), dst.Min(), dst.Max(), want.Count(), want.Min(), want.Max())
+		}
+		if dst.Count() == 0 {
+			return
+		}
+		qs := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1}
+		got, exp := dst.Quantiles(nil, qs), want.Quantiles(nil, qs)
+		for i := range qs {
+			if math.Float64bits(got[i]) != math.Float64bits(exp[i]) {
+				t.Fatalf("Quantile(%g) = %v, fresh %v", qs[i], got[i], exp[i])
+			}
+		}
+	})
+}
+
+// FuzzSketchMerge decodes two arbitrary byte strings as sketches and,
+// when both parse, merges them and checks the structural invariants a
+// downstream segment query relies on: count additivity, min/max
+// envelope, monotone quantiles, and a re-serializable result.
+func FuzzSketchMerge(f *testing.F) {
+	empty, small, big, neg := seedDigests()
 	f.Add(empty, small)
 	f.Add(small, big)
 	f.Add(big, neg)

@@ -17,7 +17,8 @@
 //
 // Sharing. A sketch that came out of Decode, Merge or Merged holds no
 // buffered observations, and its centroid slices are never written in
-// place again — every mutation installs freshly allocated ones. Such a
+// place again — every mutation installs freshly allocated ones, except
+// DecodeInto, which is only for digests no one else reads. Such a
 // sketch may therefore be read (N, Quantile, Quantiles, OrderStat, CDF,
 // Curve, Shift, Merged, the argument side of Merge) from many
 // goroutines at once; that is what lets the segment reader cache
@@ -83,9 +84,6 @@ func New(compression int) *Sketch {
 	}
 	return &Sketch{compression: compression}
 }
-
-// Compression returns the sketch's δ.
-func (s *Sketch) Compression() int { return s.compression }
 
 // Count returns the number of observations folded in.
 func (s *Sketch) Count() uint64 { return s.count }
@@ -522,6 +520,21 @@ func (s *Sketch) AppendBinary(dst []byte) []byte {
 // the sketch and the unconsumed remainder. Every structural invariant
 // is validated — a decoded sketch is safe to merge and query.
 func Decode(b []byte) (*Sketch, []byte, error) {
+	s := new(Sketch)
+	rest, err := DecodeInto(s, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, rest, nil
+}
+
+// DecodeInto is Decode into s, which may be a zero Sketch or one that
+// held anything before: whatever s held is overwritten, and its slices'
+// capacity is reused, so a caller that only checks blocks decodes them
+// all into one digest. s is written in place, so it must be a digest
+// no one else reads. After an error s holds no sketch, only garbage,
+// until a later DecodeInto succeeds.
+func DecodeInto(s *Sketch, b []byte) ([]byte, error) {
 	d := binfmt.NewDec(b)
 	version, flags := d.Byte(), d.Byte()
 	compression, count := d.Uvarint(), d.Uvarint()
@@ -539,14 +552,14 @@ func Decode(b []byte) (*Sketch, []byte, error) {
 		d.Fail(fmt.Errorf("count %d with %d centroids", count, n))
 	}
 	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	s := New(int(compression))
+	*s = Sketch{compression: int(compression), means: s.means[:0], weights: s.weights[:0], buf: s.buf[:0]}
 	if count == 0 {
-		return s, d.Rest(), nil
+		return d.Rest(), nil
 	}
 	s.count, s.min, s.max = count, d.Float64(), d.Float64()
-	s.means, s.weights = make([]float64, n), make([]uint64, n)
+	s.means, s.weights = resize(s.means, n), resize(s.weights, n)
 	if flags&flagRawMeans != 0 {
 		d.Floats(s.means)
 	} else {
@@ -557,9 +570,20 @@ func Decode(b []byte) (*Sketch, []byte, error) {
 	}
 	d.Fail(s.validate()) // kept only if the cursor itself did not fail
 	if err := d.Err(); err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return s, d.Rest(), nil
+	return d.Rest(), nil
+}
+
+// resize returns xs at length n, reusing its array when it is large
+// enough. A fresh array holds exactly n, or twice the old one when xs
+// had one, so a digest reused over many decodes grows a logarithmic
+// number of times.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n, max(n, 2*cap(xs)))
+	}
+	return xs[:n]
 }
 
 // validate checks the invariants Merge and Quantile rely on, on a

@@ -83,7 +83,6 @@ type World struct {
 	ixps            []*IXP
 	pops            map[asn.Number][]PoP
 	prefixes        map[asn.Number]netaddr.Prefix
-	providerByASN   map[asn.Number]*cloud.Provider
 	ic              map[icKey]Interconnect
 	ixpByASN        map[asn.Number]*IXP
 	regionIPs       map[string]netaddr.IP // region ID → VM endpoint address
@@ -112,7 +111,6 @@ func Build(cfg Config) (*World, error) {
 		accessByCountry: make(map[string][]*asn.AS),
 		pops:            make(map[asn.Number][]PoP),
 		prefixes:        make(map[asn.Number]netaddr.Prefix),
-		providerByASN:   make(map[asn.Number]*cloud.Provider),
 		ic:              make(map[icKey]Interconnect),
 		ixpByASN:        make(map[asn.Number]*IXP),
 		regionIPs:       make(map[string]netaddr.IP),
@@ -194,12 +192,6 @@ func (w *World) NearestIXP(p geo.Point) *IXP {
 		return w.ixps[i]
 	}
 	return nil
-}
-
-// ProviderByASN maps a cloud WAN ASN back to its provider.
-func (w *World) ProviderByASN(n asn.Number) (*cloud.Provider, bool) {
-	p, ok := w.providerByASN[n]
-	return p, ok
 }
 
 // NearestPoP returns the AS's PoP closest to p. ok is false when the AS
@@ -678,7 +670,6 @@ func (w *World) buildClouds(rng *rand.Rand) error {
 			return err
 		}
 		w.prefixes[prov.ASN] = p
-		w.providerByASN[prov.ASN] = prov
 		for i, r := range w.Inventory.RegionsOf(prov.Code) {
 			w.regionIPs[r.ID] = p.Nth(uint64(i+1)*256 + 10)
 		}
