@@ -95,11 +95,14 @@ bench-smoke:
 bench-check:
 	$(GO) run ./bench -check 3
 
-# Worker-kill chaos test under the race detector: one worker of three
+# Chaos slice under the race detector. Cluster: one worker of three
 # dies mid-stream, its shard must be reassigned and the merged store
-# must seal bit-identical to the single-process run.
+# must seal bit-identical to the single-process run. Engine: the
+# dispatcher/worker/collector join under cancellation, fault profiles
+# and sink fan-out, at one and four procs.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosWorkerKilledMidSweep|TestChaosWindowedReplay' -count=1 ./internal/cluster/
+	$(GO) test -race -cpu 1,4 -run 'TestCancellation|TestChaosProfiles|TestSinksFanOut' -count=1 ./internal/measure/
 
 # verify is the pre-merge gate: formatting (gofmt), generic static
 # analysis (vet), the repo-specific determinism/concurrency lint

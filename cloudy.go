@@ -93,12 +93,10 @@ func NewCampaign(sim *Simulator, fleet *Fleet, cfg CampaignConfig) (*Campaign, e
 
 // Fault-injection re-exports: a FaultPlan (or any FaultInjector) wired
 // into both the simulator and CampaignConfig.Faults runs a chaos
-// campaign that stays deterministic under its seed; Checkpoint carries
-// a paused campaign's state across a restart.
+// campaign that stays deterministic under its seed.
 type (
 	FaultInjector = faults.Injector
 	FaultPlan     = faults.Plan
-	Checkpoint    = measure.Checkpoint
 )
 
 // FaultProfile resolves a named fault profile ("flaky-wireless",

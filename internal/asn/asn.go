@@ -137,17 +137,6 @@ func (r *Registry) All() []*AS { return r.ordered }
 // Len returns the number of registered ASes.
 func (r *Registry) Len() int { return len(r.ordered) }
 
-// ByType returns all ASes with the given role, in registration order.
-func (r *Registry) ByType(t Type) []*AS {
-	var out []*AS
-	for _, a := range r.ordered {
-		if a.Type == t {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // AccessIn returns the access ISPs operating in the given country,
 // sorted by descending user population (the paper's "top-5 ISPs ordered
 // by number of recorded measurements" uses the same ordering).

@@ -13,7 +13,6 @@
 package bgp
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -272,39 +271,4 @@ func (g *Graph) bfs(start asn.Number, next func(asn.Number) []asn.Number) (map[a
 		}
 	}
 	return dist, parent
-}
-
-// ValidateValleyFree checks that a path obeys the valley-free property
-// under this graph's relationships: uphill links, at most one peer link,
-// then downhill links, with every adjacent pair actually connected.
-// It returns a descriptive error for the first violation.
-func (g *Graph) ValidateValleyFree(path []asn.Number) error {
-	if len(path) == 0 {
-		return fmt.Errorf("bgp: empty path")
-	}
-	const (
-		phaseUp = iota
-		phasePeered
-		phaseDown
-	)
-	phase := phaseUp
-	for i := 0; i+1 < len(path); i++ {
-		a, b := path[i], path[i+1]
-		switch {
-		case g.HasTransit(b, a): // a climbs to its provider b
-			if phase != phaseUp {
-				return fmt.Errorf("bgp: uphill link %v→%v after summit", a, b)
-			}
-		case g.HasPeering(a, b):
-			if phase != phaseUp {
-				return fmt.Errorf("bgp: second lateral link %v→%v", a, b)
-			}
-			phase = phasePeered
-		case g.HasTransit(a, b): // a descends to its customer b
-			phase = phaseDown
-		default:
-			return fmt.Errorf("bgp: no relationship between %v and %v", a, b)
-		}
-	}
-	return nil
 }

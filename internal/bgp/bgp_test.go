@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestPathDirectPeering(t *testing.T) {
 	if len(p) != 2 || p[0] != 101 || p[1] != 103 {
 		t.Errorf("want direct peering path [101 103], got %v", p)
 	}
-	if err := g.ValidateValleyFree(p); err != nil {
+	if err := validateValleyFree(g, p); err != nil {
 		t.Error(err)
 	}
 }
@@ -77,7 +78,7 @@ func TestPathAcrossTier1Peering(t *testing.T) {
 	if !equalPath(p, want) {
 		t.Errorf("path = %v, want %v", p, want)
 	}
-	if err := g.ValidateValleyFree(p); err != nil {
+	if err := validateValleyFree(g, p); err != nil {
 		t.Error(err)
 	}
 }
@@ -127,16 +128,16 @@ func TestNoValleyPath(t *testing.T) {
 func TestValleyRejected(t *testing.T) {
 	g := buildHierarchy()
 	// 102→11→101→103 would be a valley: 11 descends to its customer 101
-	// and then 101 exports a peer route upward. ValidateValleyFree must
+	// and then 101 exports a peer route upward. validateValleyFree must
 	// reject the hand-built valley.
 	valley := []asn.Number{12, 1, 11, 101, 103, 13}
-	if err := g.ValidateValleyFree(valley); err == nil {
+	if err := validateValleyFree(g, valley); err == nil {
 		t.Error("valley path accepted")
 	}
-	if err := g.ValidateValleyFree(nil); err == nil {
+	if err := validateValleyFree(g, nil); err == nil {
 		t.Error("empty path accepted")
 	}
-	if err := g.ValidateValleyFree([]asn.Number{101, 105}); err == nil {
+	if err := validateValleyFree(g, []asn.Number{101, 105}); err == nil {
 		t.Error("disconnected hop accepted")
 	}
 }
@@ -153,7 +154,7 @@ func TestAllComputedPathsAreValleyFree(t *testing.T) {
 			if p[0] != s || p[len(p)-1] != d {
 				t.Errorf("path %v does not span %v→%v", p, s, d)
 			}
-			if err := g.ValidateValleyFree(p); err != nil {
+			if err := validateValleyFree(g, p); err != nil {
 				t.Errorf("path %v→%v: %v (path %v)", s, d, err, p)
 			}
 		}
@@ -208,7 +209,7 @@ func TestRandomGraphsValleyFree(t *testing.T) {
 					t.Errorf("trial %d: no path %v→%v in connected hierarchy", trial, s, d)
 					continue
 				}
-				if err := g.ValidateValleyFree(p); err != nil {
+				if err := validateValleyFree(g, p); err != nil {
 					t.Errorf("trial %d: %v (path %v)", trial, err, p)
 				}
 				seen := map[asn.Number]bool{}
@@ -299,4 +300,40 @@ func equalPath(a, b []asn.Number) bool {
 		}
 	}
 	return true
+}
+
+// validateValleyFree is the routing tests' oracle: it checks that a
+// path obeys the valley-free property under g's relationships: uphill
+// links, at most one peer link, then downhill links, with every
+// adjacent pair actually connected. It returns a descriptive error for
+// the first violation.
+func validateValleyFree(g *Graph, path []asn.Number) error {
+	if len(path) == 0 {
+		return fmt.Errorf("bgp: empty path")
+	}
+	const (
+		phaseUp = iota
+		phasePeered
+		phaseDown
+	)
+	phase := phaseUp
+	for i := 0; i+1 < len(path); i++ {
+		a, b := path[i], path[i+1]
+		switch {
+		case g.HasTransit(b, a): // a climbs to its provider b
+			if phase != phaseUp {
+				return fmt.Errorf("bgp: uphill link %v→%v after summit", a, b)
+			}
+		case g.HasPeering(a, b):
+			if phase != phaseUp {
+				return fmt.Errorf("bgp: second lateral link %v→%v", a, b)
+			}
+			phase = phasePeered
+		case g.HasTransit(a, b): // a descends to its customer b
+			phase = phaseDown
+		default:
+			return fmt.Errorf("bgp: no relationship between %v and %v", a, b)
+		}
+	}
+	return nil
 }

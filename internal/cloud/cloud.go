@@ -8,7 +8,6 @@ package cloud
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/asn"
@@ -173,23 +172,6 @@ func (inv *Inventory) RegionsIn(cont geo.Continent) []*Region {
 		}
 	}
 	return out
-}
-
-// Closest returns the region geographically closest to p, optionally
-// restricted to one continent (pass geo.ContinentUnknown for no
-// restriction). It returns nil when no region matches.
-func (inv *Inventory) Closest(p geo.Point, cont geo.Continent) *Region {
-	var best *Region
-	bestD := math.Inf(1)
-	for _, r := range inv.regions {
-		if cont != geo.ContinentUnknown && r.Continent != cont {
-			continue
-		}
-		if d := geo.DistanceKm(p, r.Loc); d < bestD {
-			best, bestD = r, d
-		}
-	}
-	return best
 }
 
 // CountByContinent reproduces Table 1: per provider, the number of

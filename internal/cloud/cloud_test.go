@@ -140,37 +140,6 @@ func TestRegionsOf(t *testing.T) {
 	}
 }
 
-func TestClosest(t *testing.T) {
-	inv := NewInventory()
-	berlin := geo.Point{Lat: 52.52, Lon: 13.40}
-	r := inv.Closest(berlin, geo.EU)
-	if r == nil {
-		t.Fatal("no closest region")
-	}
-	// Azure Berlin is an exact-city match.
-	if r.City != "Berlin" {
-		t.Errorf("closest to Berlin = %s (%s)", r.ID, r.City)
-	}
-	// Unrestricted search from Nairobi must find the ZA datacenters as
-	// in-continent closest but something closer (Middle East / India)
-	// globally or equal.
-	nairobi := geo.Point{Lat: -1.29, Lon: 36.82}
-	inAF := inv.Closest(nairobi, geo.AF)
-	if inAF == nil || inAF.Continent != geo.AF {
-		t.Fatalf("closest AF = %v", inAF)
-	}
-	global := inv.Closest(nairobi, geo.ContinentUnknown)
-	if global == nil {
-		t.Fatal("no global closest")
-	}
-	if geo.DistanceKm(nairobi, global.Loc) > geo.DistanceKm(nairobi, inAF.Loc) {
-		t.Error("global closest farther than continental closest")
-	}
-	if inv.Closest(berlin, geo.Continent(99)) != nil {
-		t.Error("impossible continent filter should return nil")
-	}
-}
-
 func TestPolicyFor(t *testing.T) {
 	inv := NewInventory()
 	gcp, _ := inv.Provider("GCP")

@@ -38,11 +38,11 @@
 // Re-running a shard re-emits the identical record stream: probe and
 // target selection, retry jitter and every sample value are pure
 // functions of (probe, country, cycle) — the same property the
-// campaign engine's checkpoint/resume replay relies on — and a probe
-// belongs to exactly one country, hence exactly one shard. A merged
-// store seals bit-identically to a single-process run (the chaos test
-// asserts store.ShardDigests equality) provided the campaign stays
-// fault-free with no cycle quota: fault windows and the shared
+// campaign engine's Countries and cycle-window restrictions rely on —
+// and a probe belongs to exactly one country, hence exactly one shard.
+// A merged store seals bit-identically to a single-process run (the
+// chaos test asserts store.ShardDigests equality) provided the campaign
+// stays fault-free with no cycle quota: fault windows and the shared
 // per-cycle request budget couple countries through the engine's
 // virtual clock, so the coordinator refuses fault profiles and cycle
 // quotas unless explicitly forced.

@@ -43,7 +43,7 @@ func DefaultConfig() *Config {
 				Include: []string{"internal/stats", "internal/analysis", "internal/store"},
 			},
 			// Write paths: dataset encoders/sinks, the sharded store,
-			// and the campaign engine's checkpoints.
+			// and the campaign engine's sink delivery.
 			UncheckedErr.Name: {
 				Include: []string{"internal/dataset", "internal/store", "internal/measure"},
 			},
@@ -56,8 +56,8 @@ func DefaultConfig() *Config {
 				Exclude: []string{"internal/dataset"},
 			},
 			// The packages whose exported API spawns goroutines or
-			// blocks: the campaign engine (checkpoint/resume depends on
-			// cancellation), the HTTP service (graceful drain), the
+			// blocks: the campaign engine (Run returns the partial store
+			// on cancellation), the HTTP service (graceful drain), the
 			// admission layer in front of it, the distributed campaign
 			// plane (coordinator accept loops, worker lease loops and
 			// both transports block on peers that may never answer), and

@@ -10,8 +10,9 @@ import (
 // packages: an exported function that spawns goroutines or blocks on
 // channel operations is a shutdown hazard unless callers can cancel it,
 // so it must accept a context.Context and actually use it. The campaign
-// engine's checkpoint/resume and the HTTP server's graceful drain both
-// depend on cancellation reaching every blocking frame.
+// engine's partial-store return on cancellation and the HTTP server's
+// graceful drain both depend on cancellation reaching every blocking
+// frame.
 var CtxPropagate = &Analyzer{
 	Name: "ctxpropagate",
 	Doc:  "exported functions that spawn goroutines or block on channels must accept and forward context.Context",

@@ -16,7 +16,7 @@
 //   - floateq: no ==/!= on floating-point operands in the statistics,
 //     analysis and store packages.
 //   - uncheckederr: no silently discarded errors on dataset, store and
-//     checkpoint write paths.
+//     campaign sink write paths.
 //   - ctxpropagate: exported functions in the concurrent packages that
 //     spawn goroutines or block on channels must accept and forward a
 //     context.Context.

@@ -18,13 +18,13 @@ var infallibleRecv = map[string]bool{
 
 // UncheckedErr flags statements that silently discard an error result:
 // a call used as a bare statement, or the function of a go/defer
-// statement. The dataset, store and checkpoint packages are the write
-// paths of a six-virtual-month campaign — a dropped write error there
-// is dropped data. An explicit "_ =" assignment is the sanctioned,
-// visible discard and is not flagged.
+// statement. The dataset and store packages and the campaign engine's
+// sink delivery are the write paths of a six-virtual-month campaign — a
+// dropped write error there is dropped data. An explicit "_ =" assignment
+// is the sanctioned, visible discard and is not flagged.
 var UncheckedErr = &Analyzer{
 	Name: "uncheckederr",
-	Doc:  "forbid silently discarded errors on dataset/checkpoint/store write paths",
+	Doc:  "forbid silently discarded errors on dataset/store/campaign-sink write paths",
 	Run: func(pass *Pass) {
 		for _, file := range pass.Files {
 			ast.Inspect(file, func(n ast.Node) bool {

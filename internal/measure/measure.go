@@ -15,16 +15,14 @@
 // The engine is also resilient the way a six-month campaign has to be:
 // lost or timed-out measurements are retried with exponential backoff
 // and deterministic jitter, a per-probe circuit breaker quarantines
-// probes that fail repeatedly, persistent sink failures degrade to an
-// in-memory spill instead of aborting, and the whole campaign can be
-// checkpointed and resumed without double-counting. Failures come from
-// an optional faults.Injector, so chaos campaigns stay reproducible.
+// probes that fail repeatedly, and persistent sink failures degrade to
+// an in-memory spill instead of aborting. Failures come from an
+// optional faults.Injector, so chaos campaigns stay reproducible.
 package measure
 
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -60,19 +58,6 @@ const (
 
 // Enabled reports whether the flag resolved to on.
 func (f Flag) Enabled() bool { return f == FlagOn }
-
-// FlagOf converts a plain bool into a Flag.
-func FlagOf(b bool) Flag {
-	if b {
-		return FlagOn
-	}
-	return FlagOff
-}
-
-// ErrStopped is returned (wrapped) by Run when an OnCheckpoint callback
-// asked the campaign to stop; the partial store and the checkpoint the
-// callback received allow a later resume.
-var ErrStopped = errors.New("measure: campaign stopped at checkpoint")
 
 // Config parameterizes a campaign.
 type Config struct {
@@ -174,7 +159,7 @@ type Config struct {
 	SinkBuffer int
 
 	// Obs registers the campaign's instruments (pings, retries, breaker
-	// trips, quota burn, RTT histogram, checkpoint age) and, when the
+	// trips, quota burn, RTT histogram) and, when the
 	// fan-out bus engages, the bus's queue telemetry. Nil runs
 	// uninstrumented; the engine's behaviour is identical either way —
 	// instruments observe the campaign, they never steer it. Span-style
@@ -199,18 +184,6 @@ type Config struct {
 	// BreakerCooldown is how long a quarantined probe stays benched in
 	// virtual time before re-admission (default 24h).
 	BreakerCooldown time.Duration
-	// CheckpointEvery takes a checkpoint after every N dispatched
-	// countries (default 25). Checkpoints are only taken when
-	// OnCheckpoint is set: each one costs a flush barrier.
-	CheckpointEvery int
-	// OnCheckpoint receives each checkpoint; returning a non-nil error
-	// stops the campaign gracefully (Run returns the partial store and
-	// an error wrapping ErrStopped).
-	OnCheckpoint func(Checkpoint) error
-	// Resume restores a previous checkpoint: the campaign skips the
-	// work the checkpoint covers and continues its clock, quota,
-	// quarantine and loss accounting.
-	Resume *Checkpoint
 }
 
 // DefaultConfig returns the paper-shaped configuration.
@@ -230,7 +203,6 @@ func DefaultConfig() Config {
 		BackoffMaxMs:             60000,
 		BreakerThreshold:         4,
 		BreakerCooldown:          24 * time.Hour,
-		CheckpointEvery:          25,
 	}
 }
 
@@ -272,16 +244,12 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = d.BreakerCooldown
 	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = d.CheckpointEvery
-	}
 	return c
 }
 
 // Validate rejects nonsensical configurations before they can corrupt a
-// campaign: negative sizes, a negative or non-finite rate limit, or a
-// resume checkpoint from a different seed or layout. Zero values are
-// fine — withDefaults fills them in.
+// campaign: negative sizes or a negative or non-finite rate limit. Zero
+// values are fine — withDefaults fills them in.
 func (c Config) Validate() error {
 	switch {
 	case c.Cycles < 0:
@@ -310,8 +278,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("measure: BreakerThreshold %d is invalid (use -1 to disable)", c.BreakerThreshold)
 	case c.BreakerCooldown < 0:
 		return fmt.Errorf("measure: BreakerCooldown %v is negative", c.BreakerCooldown)
-	case c.CheckpointEvery < 0:
-		return fmt.Errorf("measure: CheckpointEvery %d is negative", c.CheckpointEvery)
 	case c.SinkBuffer < 0:
 		return fmt.Errorf("measure: SinkBuffer %d is negative", c.SinkBuffer)
 	case c.FromCycle < 0:
@@ -324,15 +290,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("measure: DiurnalAmplitude %v is outside [0, 1]", c.DiurnalAmplitude)
 	case c.CycleQuota < 0:
 		return fmt.Errorf("measure: CycleQuota %d is negative", c.CycleQuota)
-	}
-	if c.Resume != nil {
-		if c.Resume.Version != checkpointVersion {
-			return fmt.Errorf("measure: resume checkpoint version %d, want %d", c.Resume.Version, checkpointVersion)
-		}
-		if c.Resume.Seed != c.Seed {
-			return fmt.Errorf("measure: resume checkpoint was taken under seed %d, campaign uses %d",
-				c.Resume.Seed, c.Seed)
-		}
 	}
 	return nil
 }
@@ -382,9 +339,6 @@ type Stats struct {
 	// CycleQuotaExhausted counts cycles whose per-cycle measurement
 	// budget (Config.CycleQuota) ran out before the sweep finished.
 	CycleQuotaExhausted int
-	// Checkpoints and CheckpointResumes count resilience round trips.
-	Checkpoints       int
-	CheckpointResumes int
 	// SinkRetries counts transient sink errors that were retried;
 	// Spilled counts records diverted to the in-memory store after the
 	// sink degraded permanently.
@@ -400,19 +354,6 @@ type Stats struct {
 	BusHighWater int
 	BusStalls    int
 	BusDropped   int
-}
-
-// clone deep-copies the stats (map and slice included) for checkpoints.
-func (s Stats) clone() Stats {
-	out := s
-	if s.SamplesPerCountry != nil {
-		out.SamplesPerCountry = make(map[string]int, len(s.SamplesPerCountry))
-		for k, v := range s.SamplesPerCountry {
-			out.SamplesPerCountry[k] = v
-		}
-	}
-	out.Discovery = append([]DiscoverySnapshot(nil), s.Discovery...)
-	return out
 }
 
 // LossRate returns the fraction of ping measurements finally lost.
@@ -472,10 +413,6 @@ type task struct {
 	traces []int
 }
 
-// taskDone flows through the results channel after a task's records,
-// letting the collector acknowledge collection for flush barriers.
-type taskDone struct{}
-
 // Campaign runs measurements for one fleet over one simulator.
 type Campaign struct {
 	Sim   *netsim.Simulator
@@ -503,20 +440,11 @@ func (c *Campaign) Run(ctx context.Context) (*dataset.Store, Stats, error) {
 	defer span.End()
 	clock := newVirtualClock(cfg.RequestsPerMinute, cfg.DailyQuota)
 	brk := newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown.Minutes())
-	if cfg.Resume != nil {
-		st = cfg.Resume.Stats.clone()
-		if st.SamplesPerCountry == nil {
-			st.SamplesPerCountry = make(map[string]int)
-		}
-		st.CheckpointResumes++
-		clock.restore(cfg.Resume.Clock)
-		brk.restore(cfg.Resume.Breaker)
-	}
 	store := &dataset.Store{}
 
 	tasks := make(chan task)
 	results := make(chan any, cfg.Workers*2)
-	var wg, inflight sync.WaitGroup
+	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
 		wg.Add(1)
 		go func() {
@@ -550,14 +478,14 @@ func (c *Campaign) Run(ctx context.Context) (*dataset.Store, Stats, error) {
 		sink = sample.NewBus(sample.BusOptions{Buffer: cfg.SinkBuffer, Obs: cfg.Obs}, sinks...)
 	}
 
-	col := &collector{sink: sink, external: external, inj: cfg.Faults, store: store, st: &st, m: m, inflight: &inflight}
+	col := &collector{sink: sink, external: external, inj: cfg.Faults, store: store, st: &st, m: m}
 	collectorDone := make(chan struct{})
 	go func() {
 		defer close(collectorDone)
 		col.run(results)
 	}()
 
-	err := c.dispatch(ctx, tasks, clock, brk, &st, m, &inflight)
+	err := c.dispatch(ctx, tasks, clock, brk, &st, m)
 	close(tasks)
 	wg.Wait()
 	close(results)
@@ -596,7 +524,6 @@ type collector struct {
 	store    *dataset.Store
 	st       *Stats
 	m        *campaignMetrics
-	inflight *sync.WaitGroup
 	seq      int
 	broken   bool
 	err      error // first permanent sink error
@@ -615,8 +542,6 @@ func (co *collector) run(results <-chan any) {
 			co.st.Traceroutes++
 			co.m.traces.Inc()
 			co.deliver(func() error { return co.sink.Trace(rec) }, func() { co.store.AddTrace(rec) })
-		case taskDone:
-			co.inflight.Done()
 		}
 	}
 }
@@ -677,10 +602,10 @@ func (co *collector) degrade(err error) {
 
 // dispatch walks cycles → countries → probes → targets, enqueueing
 // tasks under the rate limit and quota. It also books the per-cycle
-// discovery snapshots, probe-persistence counters, fault resolution
-// (retries, breaker) and checkpoint barriers.
+// discovery snapshots, probe-persistence counters and fault resolution
+// (retries, breaker).
 func (c *Campaign) dispatch(ctx context.Context, tasks chan<- task, clock *virtualClock,
-	brk *breaker, st *Stats, m *campaignMetrics, inflight *sync.WaitGroup) error {
+	brk *breaker, st *Stats, m *campaignMetrics) error {
 	cfg := c.Cfg
 	countries := geo.AllCountries()
 	var only map[string]bool
@@ -691,54 +616,25 @@ func (c *Campaign) dispatch(ctx context.Context, tasks chan<- task, clock *virtu
 		}
 	}
 	connectedCycles := make(map[string]int)
-	startCycle, startCountry := 0, 0
-	var snap DiscoverySnapshot
-	cycleSpent := 0
-	if cfg.Resume != nil {
-		startCycle, startCountry = cfg.Resume.Cycle, cfg.Resume.NextCountry
-		for k, v := range cfg.Resume.ConnectedCycles {
-			connectedCycles[k] = v
-		}
-		snap = cfg.Resume.Snapshot
-		cycleSpent = cfg.Resume.CycleRequests
-	}
 	// The cycle window [FromCycle, ToCycle) clamps the sweep onto a slice
-	// of the campaign time axis; a resume position inside the window wins
-	// over its lower bound.
-	firstCycle := startCycle
-	if cfg.FromCycle > firstCycle {
-		firstCycle = cfg.FromCycle
-	}
+	// of the campaign time axis.
 	endCycle := cfg.Cycles
 	if cfg.ToCycle > 0 && cfg.ToCycle < endCycle {
 		endCycle = cfg.ToCycle
 	}
-	countCycle := 0
-	if cfg.Resume == nil {
-		countCycle = firstCycle
-	}
-	sinceCkpt := 0
-	lastCkptMinute := clock.now()
 	rng := detrand.New(0) // this goroutine's generator, re-seeded per draw key
 	// One span per country sweep; cspan outlives each iteration so the
 	// deferred End covers the early returns mid-cycle (End is idempotent,
 	// so the per-iteration End makes the deferred one a no-op normally).
 	var cspan *obs.Span
 	defer func() { cspan.End() }()
-	for cycle := firstCycle; cycle < endCycle; cycle++ {
+	for cycle := cfg.FromCycle; cycle < endCycle; cycle++ {
 		_, cspan = obs.StartSpan(ctx, "measure.cycle")
 		cspan.SetAttr("cycle", fmt.Sprint(cycle))
-		start := 0
-		if cycle == startCycle {
-			start = startCountry
-		}
-		if cfg.Resume == nil || cycle != startCycle {
-			snap = DiscoverySnapshot{Cycle: cycle}
-			cycleSpent = 0
-		}
+		snap := DiscoverySnapshot{Cycle: cycle}
+		cycleSpent := 0
 		quotaOut := false
-		for ci := start; ci < len(countries); ci++ {
-			country := countries[ci]
+		for _, country := range countries {
 			if only != nil && !only[country.Code] {
 				continue
 			}
@@ -746,7 +642,7 @@ func (c *Campaign) dispatch(ctx context.Context, tasks chan<- task, clock *virtu
 			if len(all) < cfg.MinProbesPerCountry {
 				continue
 			}
-			if cycle == countCycle {
+			if cycle == cfg.FromCycle {
 				st.CountriesCycled++
 			}
 			connected := c.connectedProbes(rng, all, cycle, cfg.ProbesPerCountry)
@@ -783,15 +679,12 @@ func (c *Campaign) dispatch(ctx context.Context, tasks chan<- task, clock *virtu
 					clock.admit()
 					cycleSpent++
 					m.quotaRemaining.Set(clock.quotaRemaining())
-					m.checkpointAgeMin.Set(int64(clock.now() - lastCkptMinute))
 					tk := task{probe: p, region: r, cycle: cycle}
 					tripped := c.resolveTask(&tk, clock, brk, st, m)
 					if tk.doTCP || tk.doICMP || len(tk.traces) > 0 {
-						inflight.Add(1)
 						select {
 						case tasks <- tk:
 						case <-ctx.Done():
-							inflight.Done()
 							return fmt.Errorf("measure: campaign interrupted: %w", ctx.Err())
 						}
 					}
@@ -799,26 +692,6 @@ func (c *Campaign) dispatch(ctx context.Context, tasks chan<- task, clock *virtu
 						st.Quarantined++
 						m.breakerTrips.Inc()
 						break // bench this probe's remaining targets
-					}
-				}
-			}
-			if cfg.OnCheckpoint != nil {
-				sinceCkpt++
-				if sinceCkpt >= cfg.CheckpointEvery {
-					sinceCkpt = 0
-					// Flush barrier: every enqueued task collected, so
-					// the checkpointed Stats are exact.
-					inflight.Wait()
-					st.Checkpoints++
-					m.checkpoints.Inc()
-					lastCkptMinute = clock.now()
-					m.checkpointAgeMin.Set(0)
-					cp := c.checkpoint(cycle, ci+1, snap, cycleSpent, clock, brk, connectedCycles, st)
-					if err := cfg.OnCheckpoint(cp); err != nil {
-						if errors.Is(err, ErrStopped) {
-							return err
-						}
-						return fmt.Errorf("%w: %w", ErrStopped, err)
 					}
 				}
 			}
@@ -1074,7 +947,6 @@ func (c *Campaign) runTask(tk task, results chan<- any) {
 	for _, tc := range tk.traces {
 		results <- pr.Traceroute(tc)
 	}
-	results <- taskDone{}
 }
 
 // rngFor re-seeds rng for one campaign-side draw keyed by (key, cycle)
@@ -1145,20 +1017,4 @@ func (v *virtualClock) quotaRemaining() int64 {
 
 func (v *virtualClock) elapsed() time.Duration {
 	return time.Duration(v.minutes * float64(time.Minute))
-}
-
-// clockState is the serializable clock for checkpoints.
-type clockState struct {
-	Requests  int     `json:"requests"`
-	Today     int     `json:"today"`
-	DayNumber int     `json:"day_number"`
-	Minutes   float64 `json:"minutes"`
-}
-
-func (v *virtualClock) state() clockState {
-	return clockState{Requests: v.requests, Today: v.today, DayNumber: v.dayNumber, Minutes: v.minutes}
-}
-
-func (v *virtualClock) restore(s clockState) {
-	v.requests, v.today, v.dayNumber, v.minutes = s.Requests, s.Today, s.DayNumber, s.Minutes
 }

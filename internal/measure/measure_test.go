@@ -211,28 +211,30 @@ func TestCancellationMidRunPartialStore(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := smallConfig()
 	cfg.Cycles = 4
-	// Cancel after a couple of checkpoints' worth of work: mid-run, not
-	// at the start and not at the end.
-	n := 0
-	cfg.OnCheckpoint = func(Checkpoint) error {
-		n++
-		if n == 2 {
+	// Cancel when the sweep first selects targets for cycle 2 of 4:
+	// mid-run, not at the start and not at the end. RegionAvailable runs
+	// on the dispatch goroutine, so the cut point is deterministic.
+	cfg.RegionAvailable = func(_ string, cycle int) bool {
+		if cycle == 2 {
 			cancel()
 		}
-		return nil
+		return true
 	}
-	cfg.CheckpointEvery = 10
-	store, _, err := mustNew(t, cfg).Run(ctx)
+	store, st, err := mustNew(t, cfg).Run(ctx)
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want a context.Canceled wrap", err)
 	}
 	if np, _ := store.Len(); np == 0 {
 		t.Error("mid-run cancellation should return the partial dataset, store is empty")
 	}
-	// The checkpoint flush barrier ran before the cancel, so everything
-	// collected up to that point must be intact and queryable.
+	// Workers and the collector are joined before Run returns, so
+	// everything collected up to the cut must be intact and queryable.
 	if len(store.RTTs(dataset.PingFilter{})) == 0 {
 		t.Error("partial store has no queryable RTTs")
+	}
+	// Cycles 0 and 1 completed; cycle 2 was cut before its poll closed.
+	if len(st.Discovery) != 2 {
+		t.Errorf("discovery snapshots = %d, want 2 (cut inside cycle 2)", len(st.Discovery))
 	}
 	// All workers and the collector must be joined: give the runtime a
 	// moment, then compare goroutine counts.
@@ -268,9 +270,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative backoff", func(c *Config) { c.BackoffBaseMs = -1 }},
 		{"breaker below -1", func(c *Config) { c.BreakerThreshold = -3 }},
 		{"negative cooldown", func(c *Config) { c.BreakerCooldown = -time.Hour }},
-		{"negative checkpoint stride", func(c *Config) { c.CheckpointEvery = -1 }},
-		{"resume version mismatch", func(c *Config) { c.Resume = &Checkpoint{Version: 99, Seed: c.Seed} }},
-		{"resume seed mismatch", func(c *Config) { c.Resume = &Checkpoint{Version: checkpointVersion, Seed: c.Seed + 1} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -301,9 +300,6 @@ func TestFlagTriState(t *testing.T) {
 	}
 	if c := mustNew(t, Config{BothPingProtocols: FlagOff}); c.Cfg.BothPingProtocols != FlagOff {
 		t.Errorf("explicit FlagOff overridden to %v", c.Cfg.BothPingProtocols)
-	}
-	if !FlagOf(true).Enabled() || FlagOf(false).Enabled() {
-		t.Error("FlagOf round trip broken")
 	}
 	cfg := smallConfig()
 	cfg.Traceroutes = false
@@ -342,7 +338,7 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Errorf("BothPingProtocols default = %v, want FlagOn", c.Cfg.BothPingProtocols)
 	}
 	if c.Cfg.MaxRetries == 0 || c.Cfg.TaskDeadlineMs == 0 || c.Cfg.BackoffBaseMs == 0 ||
-		c.Cfg.BreakerThreshold == 0 || c.Cfg.BreakerCooldown == 0 || c.Cfg.CheckpointEvery == 0 {
+		c.Cfg.BreakerThreshold == 0 || c.Cfg.BreakerCooldown == 0 {
 		t.Errorf("resilience defaults not applied: %+v", c.Cfg)
 	}
 	// ProbesPerCountry deliberately defaults to zero: no cap, so volume

@@ -21,16 +21,12 @@ type campaignMetrics struct {
 	breakerTrips         *obs.Counter
 	quarantineSkips      *obs.Counter
 	dropouts             *obs.Counter
-	checkpoints          *obs.Counter
 	cycleQuotaExhausted  *obs.Counter
 
 	rtt *obs.Histogram
 
-	// quotaRemaining is the daily budget left (-1 when unlimited);
-	// checkpointAgeMin is the virtual minutes elapsed since the last
-	// checkpoint barrier — the "how much would a crash lose" gauge.
-	quotaRemaining   *obs.Gauge
-	checkpointAgeMin *obs.Gauge
+	// quotaRemaining is the daily budget left (-1 when unlimited).
+	quotaRemaining *obs.Gauge
 }
 
 func newCampaignMetrics(reg *obs.Registry) *campaignMetrics {
@@ -47,10 +43,8 @@ func newCampaignMetrics(reg *obs.Registry) *campaignMetrics {
 		breakerTrips:        reg.Counter("measure_breaker_trips_total"),
 		quarantineSkips:     reg.Counter("measure_quarantine_skips_total"),
 		dropouts:            reg.Counter("measure_probe_dropouts_total"),
-		checkpoints:         reg.Counter("measure_checkpoints_total"),
 		cycleQuotaExhausted: reg.Counter("measure_cycle_quota_exhausted_total"),
 		rtt:                 reg.Histogram("measure_rtt_ms", obs.RTTBuckets),
 		quotaRemaining:      reg.Gauge("measure_quota_remaining"),
-		checkpointAgeMin:    reg.Gauge("measure_checkpoint_age_virtual_minutes"),
 	}
 }

@@ -29,16 +29,15 @@ func jitterU(seed int64, probe, region string, op, cycle, attempt int) float64 {
 		Bytes(byte(op), byte(cycle), byte(cycle>>8), byte(attempt)).Uniform()
 }
 
-// breakerEntry is one probe's circuit-breaker state. Exported fields so
-// checkpoints can serialize quarantines across a restart.
+// breakerEntry is one probe's circuit-breaker state.
 type breakerEntry struct {
 	// Consecutive counts lost measurements since the last success.
-	Consecutive int `json:"consecutive"`
+	Consecutive int
 	// UntilMin, when nonzero, quarantines the probe until this virtual
 	// minute.
-	UntilMin float64 `json:"until_min,omitempty"`
+	UntilMin float64
 	// Trips counts how often this probe's breaker has opened.
-	Trips int `json:"trips,omitempty"`
+	Trips int
 }
 
 // breaker is the per-probe circuit breaker: a probe that loses
@@ -98,24 +97,4 @@ func (b *breaker) onResult(id string, ok bool, now float64) (tripped bool) {
 	e.UntilMin = now + b.cooldownMin
 	e.Trips++
 	return true
-}
-
-// snapshot deep-copies the breaker state for a checkpoint.
-func (b *breaker) snapshot() map[string]breakerEntry {
-	if len(b.probes) == 0 {
-		return nil
-	}
-	out := make(map[string]breakerEntry, len(b.probes))
-	for id, e := range b.probes {
-		out[id] = *e
-	}
-	return out
-}
-
-// restore loads checkpointed breaker state.
-func (b *breaker) restore(m map[string]breakerEntry) {
-	for id, e := range m {
-		cp := e
-		b.probes[id] = &cp
-	}
 }

@@ -99,39 +99,6 @@ func TestBreakerIndependentProbes(t *testing.T) {
 	}
 }
 
-// TestBreakerSnapshotRestore: quarantine state survives a serialize/
-// restore round trip, including trips-so-far.
-func TestBreakerSnapshotRestore(t *testing.T) {
-	b := newBreaker(2, 30)
-	b.onResult("p1", false, 0)
-	b.onResult("p1", false, 1) // trips, benched until 31
-	b.onResult("p2", false, 5) // one failure, no trip
-	snap := b.snapshot()
-
-	b2 := newBreaker(2, 30)
-	b2.restore(snap)
-	if !b2.quarantined("p1", 10) {
-		t.Error("restored breaker lost p1's quarantine")
-	}
-	if b2.quarantined("p1", 31) {
-		t.Error("restored breaker did not honour cooldown expiry")
-	}
-	if b2.onResult("p2", false, 6) != true {
-		t.Error("restored breaker lost p2's failure streak")
-	}
-	if !reflect.DeepEqual(snap["p1"], breakerEntry{UntilMin: 31, Trips: 1}) {
-		t.Errorf("snapshot entry = %+v", snap["p1"])
-	}
-	// Mutating the restored breaker must not touch the snapshot.
-	b2.onResult("p1", false, 40)
-	if snap["p1"].Consecutive != 0 {
-		t.Error("snapshot aliases live state")
-	}
-	if newBreaker(2, 30).snapshot() != nil {
-		t.Error("empty breaker should snapshot to nil")
-	}
-}
-
 // TestJitterDeterministic pins the jitter contract: the same (seed,
 // identity) replays the same draw, different identities and seeds
 // decorrelate, and every draw is in [0,1).

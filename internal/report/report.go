@@ -372,9 +372,6 @@ func DataQuality(w io.Writer, label string, st measure.Stats) {
 			st.SinkRetries, st.SinkDegraded, st.Spilled)
 	}
 	bus()
-	if st.Checkpoints > 0 || st.CheckpointResumes > 0 {
-		fmt.Fprintf(w, "  checkpoints: %d taken, %d resumes\n", st.Checkpoints, st.CheckpointResumes)
-	}
 }
 
 // Rule prints a section separator.

@@ -183,13 +183,12 @@ func TestDataQualityRenders(t *testing.T) {
 		Traceroutes: 180, TracesLost: 20, ProbeDropouts: 4,
 		Quarantined: 2, QuarantineSkipped: 3,
 		SinkRetries: 6, SinkDegraded: true, Spilled: 40,
-		Checkpoints: 2, CheckpointResumes: 1,
 	})
 	out := buf.String()
 	for _, want := range []string{
 		"120 attempts", "100 delivered", "15 retried", "5 lost", "8 timed out",
 		"180 delivered, 20 lost", "4 dropped out", "2 quarantine trips",
-		"6 transient errors retried", "40 records spilled", "2 taken, 1 resumes",
+		"6 transient errors retried", "40 records spilled",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("data quality render missing %q:\n%s", want, out)

@@ -55,14 +55,9 @@ func (s *Store) CountrySamplesWindow(platform string, w Window) map[string][]flo
 	return s.gather(dimCountry, w, platform)
 }
 
-// ContinentSamples returns the platform's nearest-DC RTT samples merged
-// per VP continent, each vector sorted ascending.
-func (s *Store) ContinentSamples(platform string) map[geo.Continent][]float64 {
-	return s.ContinentSamplesWindow(platform, Window{})
-}
-
-// ContinentSamplesWindow is ContinentSamples restricted to a cycle
-// window.
+// ContinentSamplesWindow returns the platform's nearest-DC RTT samples
+// within a cycle window merged per VP continent, each vector sorted
+// ascending.
 func (s *Store) ContinentSamplesWindow(platform string, w Window) map[geo.Continent][]float64 {
 	return ByContinent(s.gather(dimContinent, w, platform))
 }
