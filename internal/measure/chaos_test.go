@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
@@ -220,5 +221,34 @@ func TestChaosProfiles(t *testing.T) {
 					d, one, multi, baseD, base1, baseM)
 			}
 		})
+	}
+}
+
+// TestResilienceScheduleGolden pins the counters the dispatch goroutine
+// derives from the retry, deadline, backoff and breaker policy under
+// every fault profile. TestChaosProfiles only asserts that they are
+// non-zero; a changed retry budget, deadline, backoff bound, breaker
+// threshold or cooldown moves at least one of these values.
+func TestResilienceScheduleGolden(t *testing.T) {
+	type schedule struct {
+		Attempts, Retries, TimedOut, Lost int
+		Quarantined, QuarantineSkipped    int
+		Requests                          int
+		VirtualDuration                   time.Duration
+	}
+	want := map[string]schedule{
+		faults.ProfileFlakyWireless: {2277, 195, 75, 2, 0, 0, 1236, 1251349427995},
+		faults.ProfileQuotaStorm:    {2576, 188, 147, 3, 0, 0, 1382, 1396963508116},
+		faults.ProfilePartition:     {2619, 331, 0, 152, 38, 4, 1475, 1511488841882},
+	}
+	for _, profile := range faults.Names() {
+		st := runChaos(t, profile).stats
+		got := schedule{st.Attempts, st.Retries, st.TimedOut, st.Lost,
+			st.Quarantined, st.QuarantineSkipped, st.Requests, st.VirtualDuration}
+		if w, ok := want[profile]; !ok {
+			t.Errorf("%s: no pinned schedule", profile)
+		} else if got != w {
+			t.Errorf("%s: schedule\n got %+v\nwant %+v", profile, got, w)
+		}
 	}
 }
