@@ -99,10 +99,11 @@ bench-check:
 # dies mid-stream, its shard must be reassigned and the merged store
 # must seal bit-identical to the single-process run. Engine: the
 # dispatcher/worker/collector join under cancellation, fault profiles
-# and sink fan-out, at one and four procs.
+# and sink fan-out, and the retry/breaker counters pinned per fault
+# profile, at one and four procs.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosWorkerKilledMidSweep|TestChaosWindowedReplay' -count=1 ./internal/cluster/
-	$(GO) test -race -cpu 1,4 -run 'TestCancellation|TestChaosProfiles|TestSinksFanOut' -count=1 ./internal/measure/
+	$(GO) test -race -cpu 1,4 -run 'TestCancellation|TestChaosProfiles|TestResilienceScheduleGolden|TestSinksFanOut' -count=1 ./internal/measure/
 
 # verify is the pre-merge gate: formatting (gofmt), generic static
 # analysis (vet), the repo-specific determinism/concurrency lint

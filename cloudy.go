@@ -163,7 +163,7 @@ var (
 )
 
 // Sink streams records during collection; FileSink writes the
-// published formats in constant memory (set CampaignConfig.Sink).
+// published formats in constant memory (set CampaignConfig.Sinks).
 type (
 	Sink     = dataset.Sink
 	FileSink = dataset.FileSink

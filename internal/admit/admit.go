@@ -28,6 +28,11 @@ type Clock func() time.Duration
 // MaxInFlight zero.
 const DefaultMaxInFlight = 1024
 
+// maxClients bounds the bucket table; the least-recently-seen client is
+// evicted past it. A fresh bucket starts full, so eviction can only
+// ever be generous, never starving.
+const maxClients = 8192
+
 // Options tunes a Controller.
 type Options struct {
 	// RatePerSec is the per-client token refill rate (default 100).
@@ -35,10 +40,6 @@ type Options struct {
 	RatePerSec float64
 	// Burst is the per-client bucket capacity (default 2×RatePerSec).
 	Burst float64
-	// MaxClients bounds the bucket table; the least-recently-seen
-	// client is evicted past it (default 8192). A fresh bucket starts
-	// full, so eviction can only ever be generous, never starving.
-	MaxClients int
 	// MaxInFlight is the global concurrency ceiling (default
 	// DefaultMaxInFlight). Negative disables shedding.
 	MaxInFlight int
@@ -58,9 +59,6 @@ func (o Options) withDefaults() Options {
 	if o.Burst <= 0 {
 		o.Burst = 2 * o.RatePerSec
 	}
-	if o.MaxClients <= 0 {
-		o.MaxClients = 8192
-	}
 	if o.MaxInFlight == 0 {
 		o.MaxInFlight = DefaultMaxInFlight
 	}
@@ -72,10 +70,12 @@ func (o Options) withDefaults() Options {
 type Controller struct {
 	opts Options
 
-	// Quota state: one token bucket per client key, LRU-bounded.
-	mu      sync.Mutex
-	buckets map[string]*list.Element
-	lru     *list.List // front = most recently seen
+	// Quota state: one token bucket per client key, at most maxClients
+	// of them, LRU-bounded.
+	mu         sync.Mutex
+	buckets    map[string]*list.Element
+	lru        *list.List // front = most recently seen
+	maxClients int
 
 	// Limiter state.
 	inflight  *obs.Gauge
@@ -100,15 +100,16 @@ func New(opts Options) *Controller {
 		panic("admit: quota enabled without a Clock")
 	}
 	c := &Controller{
-		opts:      opts,
-		buckets:   map[string]*list.Element{},
-		lru:       list.New(),
-		inflight:  opts.Obs.Gauge("admit_in_flight"),
-		maxHigh:   opts.Obs.Gauge("admit_in_flight_high_water"),
-		mAdmitted: opts.Obs.Counter("admit_admitted_total"),
-		mDenied:   opts.Obs.Counter("admit_quota_denied_total"),
-		mShed:     opts.Obs.Counter("admit_shed_total"),
-		mEvicted:  opts.Obs.Counter("admit_quota_evictions_total"),
+		opts:       opts,
+		buckets:    map[string]*list.Element{},
+		lru:        list.New(),
+		maxClients: maxClients,
+		inflight:   opts.Obs.Gauge("admit_in_flight"),
+		maxHigh:    opts.Obs.Gauge("admit_in_flight_high_water"),
+		mAdmitted:  opts.Obs.Counter("admit_admitted_total"),
+		mDenied:    opts.Obs.Counter("admit_quota_denied_total"),
+		mShed:      opts.Obs.Counter("admit_shed_total"),
+		mEvicted:   opts.Obs.Counter("admit_quota_evictions_total"),
 	}
 	opts.Obs.GaugeFunc("admit_quota_clients", func() float64 {
 		c.mu.Lock()
@@ -165,7 +166,7 @@ func (c *Controller) Allow(client string) (ok bool, retryAfter time.Duration) {
 	} else {
 		b = &bucket{client: client, tokens: c.opts.Burst, last: now}
 		c.buckets[client] = c.lru.PushFront(b)
-		for len(c.buckets) > c.opts.MaxClients {
+		for len(c.buckets) > c.maxClients {
 			oldest := c.lru.Back()
 			c.lru.Remove(oldest)
 			delete(c.buckets, oldest.Value.(*bucket).client)
@@ -179,14 +180,4 @@ func (c *Controller) Allow(client string) (ok bool, retryAfter time.Duration) {
 	c.mDenied.Inc()
 	deficit := 1 - b.tokens
 	return false, time.Duration(deficit / c.opts.RatePerSec * float64(time.Second))
-}
-
-// QuotaEnabled reports whether the per-client quota layer is active.
-func (c *Controller) QuotaEnabled() bool { return c.opts.RatePerSec > 0 }
-
-// Clients returns the current bucket-table size.
-func (c *Controller) Clients() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.buckets)
 }

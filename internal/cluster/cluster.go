@@ -86,9 +86,7 @@ type CampaignConfig struct {
 	Seed            int64   `json:"seed"`
 	Scale           float64 `json:"scale,omitempty"`
 	Cycles          int     `json:"cycles,omitempty"`
-	ProbeCap        int     `json:"probe_cap,omitempty"`
 	TargetsPerProbe int     `json:"targets_per_probe,omitempty"`
-	MinProbes       int     `json:"min_probes,omitempty"`
 	// FaultProfile is carried for completeness but refused by the
 	// coordinator unless AllowFaults is set: fault windows consult the
 	// shared virtual clock, which couples countries across shards and
@@ -115,8 +113,7 @@ type CampaignConfig struct {
 func (c CampaignConfig) coreConfig(reg *obs.Registry) core.Config {
 	return core.Config{
 		Seed: c.Seed, Scale: c.Scale, Cycles: c.Cycles,
-		ProbeCap: c.ProbeCap, TargetsPerProbe: c.TargetsPerProbe,
-		MinProbes: c.MinProbes, Workers: c.Workers,
+		TargetsPerProbe: c.TargetsPerProbe, Workers: c.Workers,
 		FaultProfile: c.FaultProfile, Obs: reg,
 		Scenario:         c.Scenario,
 		DiurnalAmplitude: c.DiurnalAmplitude,

@@ -46,8 +46,6 @@ type CoordinatorOptions struct {
 	// Clock feeds lease expiry; required when LeaseTTL > 0 (the admit
 	// pattern: the caller owns the clock, tests hand-crank it).
 	Clock Clock
-	// BusBuffer sizes the merge bus (default sample.DefaultBusBuffer).
-	BusBuffer int
 	// AllowFaults permits a fault-injecting campaign, surrendering the
 	// bit-identical merge guarantee (fault windows couple countries
 	// through the shared virtual clock). Off by default.
@@ -243,7 +241,7 @@ func (c *Coordinator) Run(ctx context.Context, ln Listener) (Result, error) {
 	if n == 0 {
 		st.finish()
 	}
-	bus := sample.NewBus(sample.BusOptions{Buffer: c.opts.BusBuffer, Obs: c.opts.Obs}, c.sinks...)
+	bus := sample.NewBus(sample.BusOptions{Obs: c.opts.Obs}, c.sinks...)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()

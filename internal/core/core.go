@@ -40,15 +40,9 @@ type Config struct {
 	// Cycles is the number of country sweeps (default 4; the paper's
 	// six months ≈ 12).
 	Cycles int
-	// ProbeCap bounds the connected probes used per country per cycle
-	// (0 = no cap; default 40 keeps dense countries tractable).
-	ProbeCap int
 	// TargetsPerProbe is the per-cycle region budget per probe
 	// (default 8).
 	TargetsPerProbe int
-	// MinProbes gates countries into the campaign (default 2 at small
-	// scales; the paper used 100 at full scale).
-	MinProbes int
 	// Workers is the measurement concurrency (0 = GOMAXPROCS).
 	Workers int
 	// FaultProfile names a fault-injection profile ("flaky-wireless",
@@ -83,17 +77,20 @@ func (c Config) withDefaults() Config {
 	if c.Cycles == 0 {
 		c.Cycles = 4
 	}
-	if c.ProbeCap == 0 {
-		c.ProbeCap = 40
-	}
 	if c.TargetsPerProbe == 0 {
 		c.TargetsPerProbe = 8
 	}
-	if c.MinProbes == 0 {
-		c.MinProbes = 2
-	}
 	return c
 }
+
+const (
+	// probeCap bounds the connected Speedchecker probes used per country
+	// per cycle; 40 keeps dense countries tractable.
+	probeCap = 40
+	// minProbes gates countries into the campaign: 2 at the scales a
+	// study runs at, where the paper used 100 at full scale.
+	minProbes = 2
+)
 
 // Study is a completed end-to-end run.
 type Study struct {
@@ -217,9 +214,10 @@ func (s *Setup) RunCampaigns(ctx context.Context, sinks ...dataset.Sink) (*datas
 // selection, retry jitter and every record value are pure functions of
 // (probe, country, cycle), a fault-free restricted run emits exactly
 // the records the full sweep emits for those countries, in the same
-// per-probe order; fault profiles and daily quotas couple countries
-// through the shared virtual clock, so sharded runs should stay
-// fault-free (the coordinator's default).
+// per-probe order; fault profiles couple countries through the shared
+// virtual clock and the per-cycle quota (Config.CycleQuota) through its
+// shared budget, so sharded runs should stay fault- and quota-free (the
+// coordinator's default).
 func (s *Setup) RunCampaignsOver(ctx context.Context, countries []string, sinks ...dataset.Sink) (*dataset.Store, measure.Stats, measure.Stats, error) {
 	return s.RunCampaignsWindow(ctx, countries, 0, 0, sinks...)
 }
@@ -234,9 +232,9 @@ func (s *Setup) RunCampaignsWindow(ctx context.Context, countries []string, from
 	scCfg := measure.Config{
 		Seed:                     cfg.Seed,
 		Cycles:                   cfg.Cycles,
-		ProbesPerCountry:         cfg.ProbeCap,
+		ProbesPerCountry:         probeCap,
 		TargetsPerProbe:          cfg.TargetsPerProbe,
-		MinProbesPerCountry:      cfg.MinProbes,
+		MinProbesPerCountry:      minProbes,
 		Countries:                countries,
 		FromCycle:                fromCycle,
 		ToCycle:                  toCycle,

@@ -114,7 +114,7 @@ func TestRunCancellation(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Scale == 0 || c.Cycles == 0 || c.ProbeCap == 0 || c.TargetsPerProbe == 0 || c.MinProbes == 0 {
+	if c.Scale == 0 || c.Cycles == 0 || c.TargetsPerProbe == 0 {
 		t.Errorf("config defaults missing: %+v", c)
 	}
 	a := AnalyzeConfig{}.withDefaults()

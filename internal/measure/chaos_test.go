@@ -47,7 +47,7 @@ func runChaos(t *testing.T, profile string) chaosRun {
 		cfg.Faults = plan
 	}
 	sink := dataset.NewStoreSink(nil)
-	cfg.Sink = sink
+	cfg.Sinks = []dataset.Sink{sink}
 	camp, err := New(sim, testSC, cfg)
 	if err != nil {
 		t.Fatal(err)

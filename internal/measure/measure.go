@@ -7,8 +7,8 @@
 // traceroutes through the simulator.
 //
 // The engine honours the paper's operational constraints: a self-imposed
-// rate limit of one measurement request per minute and a daily API
-// quota, both tracked against a virtual clock so campaigns are
+// rate limit of one measurement request per minute and an API budget
+// per cycle, both tracked against a virtual clock so campaigns are
 // reproducible and fast. One full pass over all countries takes about
 // two virtual weeks, matching the paper's cycle time.
 //
@@ -122,9 +122,6 @@ type Config struct {
 	RegionAvailable func(regionID string, cycle int) bool
 	// RequestsPerMinute is the self-imposed rate limit (default 1).
 	RequestsPerMinute float64
-	// DailyQuota is the measurement budget per virtual day; zero means
-	// unlimited.
-	DailyQuota int
 	// Workers is the number of concurrent measurement workers
 	// (default: GOMAXPROCS).
 	Workers int
@@ -137,29 +134,22 @@ type Config struct {
 	// NeighborContinentTargets adds EU+NA regions for African probes
 	// and NA regions for South American probes (§4.3).
 	NeighborContinentTargets bool
-	// Sink, when set, streams records to it instead of accumulating
-	// them in the returned store — the full-scale path: a 115K-probe
-	// campaign writes gigabytes that should not live in memory. The
-	// sink is called from a single goroutine and closed before Run
-	// returns. If the sink fails persistently the campaign does not
-	// abort: remaining records spill into the returned store and the
-	// sink error is reported alongside the complete dataset.
-	Sink dataset.Sink
-	// Sinks adds further destinations. When the effective sink set
-	// (Sink plus Sinks) has more than one member, the campaign fans
-	// records out through a bounded sample.Bus, so one run can feed the
-	// export files, an in-memory store and an incremental columnar
-	// store.Feed at once under backpressure. Each sink is closed before
-	// Run returns; a failed sink degrades the whole streaming path and
-	// the remainder spills into the returned store, as with Sink.
+	// Sinks, when non-empty, receive the records instead of the
+	// returned store — the full-scale path: a 115K-probe campaign
+	// writes gigabytes that should not live in memory. One sink is
+	// called directly from a single goroutine; with more than one the
+	// campaign fans records out through a bounded sample.Bus of
+	// sample.DefaultBusBuffer records, so one run can feed the export
+	// files, an in-memory store and an incremental columnar store.Feed
+	// at once under backpressure (a full buffer blocks the collector).
+	// Each sink is closed before Run returns. If the streaming path
+	// fails persistently the campaign does not abort: remaining records
+	// spill into the returned store and the sink error is reported
+	// alongside the complete dataset.
 	Sinks []dataset.Sink
-	// SinkBuffer is the fan-out bus capacity when more than one sink is
-	// configured (default sample.DefaultBusBuffer). A full buffer blocks
-	// the collector — backpressure, not unbounded queueing.
-	SinkBuffer int
 
 	// Obs registers the campaign's instruments (pings, retries, breaker
-	// trips, quota burn, RTT histogram) and, when the
+	// trips, cycle-quota exhaustion, RTT histogram) and, when the
 	// fan-out bus engages, the bus's queue telemetry. Nil runs
 	// uninstrumented; the engine's behaviour is identical either way —
 	// instruments observe the campaign, they never steer it. Span-style
@@ -168,23 +158,27 @@ type Config struct {
 
 	// Faults injects deterministic failures (nil = fault-free run).
 	Faults faults.Injector
-	// MaxRetries bounds the retries after a lost or timed-out ping
-	// attempt (default 2; -1 disables retries entirely).
-	MaxRetries int
-	// TaskDeadlineMs is the per-measurement deadline: an attempt whose
-	// injected delay exceeds it counts as timed out (default 3000).
-	TaskDeadlineMs float64
-	// BackoffBaseMs and BackoffMaxMs shape the exponential retry
-	// backoff charged to the virtual clock (defaults 100 and 60000).
-	BackoffBaseMs float64
-	BackoffMaxMs  float64
-	// BreakerThreshold quarantines a probe after this many consecutive
-	// lost measurements (default 4; -1 disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long a quarantined probe stays benched in
-	// virtual time before re-admission (default 24h).
-	BreakerCooldown time.Duration
 }
+
+// The resilience policy every campaign runs under.
+const (
+	// maxRetries bounds the retries after a lost or timed-out ping
+	// attempt.
+	maxRetries = 2
+	// taskDeadlineMs is the per-measurement deadline: an attempt whose
+	// injected delay exceeds it counts as timed out.
+	taskDeadlineMs = 3000
+	// backoffBaseMs and backoffMaxMs shape the exponential retry
+	// backoff charged to the virtual clock.
+	backoffBaseMs = 100
+	backoffMaxMs  = 60000
+	// breakerThreshold quarantines a probe after this many consecutive
+	// lost measurements.
+	breakerThreshold = 4
+	// breakerCooldown is how long a quarantined probe stays benched in
+	// virtual time before re-admission.
+	breakerCooldown = 24 * time.Hour
+)
 
 // DefaultConfig returns the paper-shaped configuration.
 func DefaultConfig() Config {
@@ -197,12 +191,6 @@ func DefaultConfig() Config {
 		BothPingProtocols:        FlagOn,
 		Traceroutes:              true,
 		NeighborContinentTargets: true,
-		MaxRetries:               2,
-		TaskDeadlineMs:           3000,
-		BackoffBaseMs:            100,
-		BackoffMaxMs:             60000,
-		BreakerThreshold:         4,
-		BreakerCooldown:          24 * time.Hour,
 	}
 }
 
@@ -226,24 +214,6 @@ func (c Config) withDefaults() Config {
 	if c.BothPingProtocols == FlagUnset {
 		c.BothPingProtocols = d.BothPingProtocols
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = d.MaxRetries
-	}
-	if c.TaskDeadlineMs == 0 {
-		c.TaskDeadlineMs = d.TaskDeadlineMs
-	}
-	if c.BackoffBaseMs == 0 {
-		c.BackoffBaseMs = d.BackoffBaseMs
-	}
-	if c.BackoffMaxMs == 0 {
-		c.BackoffMaxMs = d.BackoffMaxMs
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = d.BreakerThreshold
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = d.BreakerCooldown
-	}
 	return c
 }
 
@@ -262,24 +232,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("measure: MinProbesPerCountry %d is negative", c.MinProbesPerCountry)
 	case c.RequestsPerMinute < 0 || math.IsNaN(c.RequestsPerMinute) || math.IsInf(c.RequestsPerMinute, 0):
 		return fmt.Errorf("measure: RequestsPerMinute %v is not a valid rate", c.RequestsPerMinute)
-	case c.DailyQuota < 0:
-		return fmt.Errorf("measure: DailyQuota %d is negative", c.DailyQuota)
 	case c.Workers < 0:
 		return fmt.Errorf("measure: Workers %d is negative", c.Workers)
 	case c.BothPingProtocols > FlagOff:
 		return fmt.Errorf("measure: BothPingProtocols %d is not a valid Flag", c.BothPingProtocols)
-	case c.MaxRetries < -1:
-		return fmt.Errorf("measure: MaxRetries %d is invalid (use -1 to disable)", c.MaxRetries)
-	case c.TaskDeadlineMs < 0 || math.IsNaN(c.TaskDeadlineMs):
-		return fmt.Errorf("measure: TaskDeadlineMs %v is invalid", c.TaskDeadlineMs)
-	case c.BackoffBaseMs < 0 || c.BackoffMaxMs < 0:
-		return fmt.Errorf("measure: backoff bounds (%v, %v) are negative", c.BackoffBaseMs, c.BackoffMaxMs)
-	case c.BreakerThreshold < -1:
-		return fmt.Errorf("measure: BreakerThreshold %d is invalid (use -1 to disable)", c.BreakerThreshold)
-	case c.BreakerCooldown < 0:
-		return fmt.Errorf("measure: BreakerCooldown %v is negative", c.BreakerCooldown)
-	case c.SinkBuffer < 0:
-		return fmt.Errorf("measure: SinkBuffer %d is negative", c.SinkBuffer)
 	case c.FromCycle < 0:
 		return fmt.Errorf("measure: FromCycle %d is negative", c.FromCycle)
 	case c.ToCycle < 0:
@@ -301,7 +257,7 @@ type Stats struct {
 	Traceroutes     int
 	CountriesCycled int
 	// VirtualDuration is how long the campaign would have taken on the
-	// real platform under the rate limit and quota.
+	// real platform under the rate limit.
 	VirtualDuration time.Duration
 	// SamplesPerCountry counts ping samples per VP country.
 	SamplesPerCountry map[string]int
@@ -438,8 +394,8 @@ func (c *Campaign) Run(ctx context.Context) (*dataset.Store, Stats, error) {
 	m := newCampaignMetrics(cfg.Obs)
 	ctx, span := obs.StartSpan(ctx, "measure.campaign")
 	defer span.End()
-	clock := newVirtualClock(cfg.RequestsPerMinute, cfg.DailyQuota)
-	brk := newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown.Minutes())
+	clock := newVirtualClock(cfg.RequestsPerMinute)
+	brk := newBreaker(breakerThreshold, breakerCooldown.Minutes())
 	store := &dataset.Store{}
 
 	tasks := make(chan task)
@@ -461,9 +417,6 @@ func (c *Campaign) Run(ctx context.Context) (*dataset.Store, Stats, error) {
 	// sinks, so fault profiles keep their historical meaning for
 	// materializing campaigns.
 	sinks := make([]dataset.Sink, 0, len(cfg.Sinks)+1)
-	if cfg.Sink != nil {
-		sinks = append(sinks, cfg.Sink)
-	}
 	for _, s := range cfg.Sinks {
 		if s != nil {
 			sinks = append(sinks, s)
@@ -475,7 +428,7 @@ func (c *Campaign) Run(ctx context.Context) (*dataset.Store, Stats, error) {
 	}
 	sink := sinks[0]
 	if len(sinks) > 1 {
-		sink = sample.NewBus(sample.BusOptions{Buffer: cfg.SinkBuffer, Obs: cfg.Obs}, sinks...)
+		sink = sample.NewBus(sample.BusOptions{Obs: cfg.Obs}, sinks...)
 	}
 
 	col := &collector{sink: sink, external: external, inj: cfg.Faults, store: store, st: &st, m: m}
@@ -678,7 +631,6 @@ func (c *Campaign) dispatch(ctx context.Context, tasks chan<- task, clock *virtu
 					}
 					clock.admit()
 					cycleSpent++
-					m.quotaRemaining.Set(clock.quotaRemaining())
 					tk := task{probe: p, region: r, cycle: cycle}
 					tripped := c.resolveTask(&tk, clock, brk, st, m)
 					if tk.doTCP || tk.doICMP || len(tk.traces) > 0 {
@@ -761,10 +713,6 @@ func (c *Campaign) resolvePing(p *probes.Probe, r *cloud.Region, op faults.Op, c
 	if cfg.Faults == nil {
 		return true
 	}
-	maxRetries := cfg.MaxRetries
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			st.Attempts++
@@ -772,7 +720,7 @@ func (c *Campaign) resolvePing(p *probes.Probe, r *cloud.Region, op faults.Op, c
 		}
 		f := cfg.Faults.Ping(p.ID, r.ID, op, cycle, attempt)
 		failed := f.Lost
-		if !failed && f.DelayMs > cfg.TaskDeadlineMs {
+		if !failed && f.DelayMs > taskDeadlineMs {
 			st.TimedOut++
 			m.timedOut.Inc()
 			failed = true
@@ -788,7 +736,7 @@ func (c *Campaign) resolvePing(p *probes.Probe, r *cloud.Region, op faults.Op, c
 		st.Retries++
 		m.retries.Inc()
 		clock.admit() // every retry is one more platform request
-		clock.delay(backoffMs(cfg.BackoffBaseMs, cfg.BackoffMaxMs, attempt,
+		clock.delay(backoffMs(backoffBaseMs, backoffMaxMs, attempt,
 			jitterU(cfg.Seed, p.ID, r.ID, int(op), cycle, attempt)))
 	}
 }
@@ -956,42 +904,22 @@ func (c *Campaign) rngFor(rng *rand.Rand, key string, cycle int) *rand.Rand {
 	return rng
 }
 
-// virtualClock books measurement requests against the rate limit and
-// the daily quota without sleeping.
+// virtualClock books measurement requests against the rate limit
+// without sleeping.
 type virtualClock struct {
 	minutesPerRequest float64
-	dailyQuota        int
 
-	requests  int
-	today     int
-	dayNumber int
-	minutes   float64
+	requests int
+	minutes  float64
 }
 
-func newVirtualClock(requestsPerMinute float64, dailyQuota int) *virtualClock {
-	return &virtualClock{
-		minutesPerRequest: 1 / requestsPerMinute,
-		dailyQuota:        dailyQuota,
-	}
+func newVirtualClock(requestsPerMinute float64) *virtualClock {
+	return &virtualClock{minutesPerRequest: 1 / requestsPerMinute}
 }
 
-// admit books one request. When the daily quota is exhausted the
-// campaign waits for the budget refresh at the next day boundary
-// (§3.3), which the virtual clock models as a time jump.
+// admit books one request at the rate limit.
 func (v *virtualClock) admit() {
-	day := int(v.minutes / (24 * 60))
-	if day > v.dayNumber {
-		v.dayNumber = day
-		v.today = 0
-	}
-	if v.dailyQuota > 0 && v.today >= v.dailyQuota {
-		// Jump to the next day boundary and retry there.
-		v.minutes = float64(v.dayNumber+1) * 24 * 60
-		v.dayNumber++
-		v.today = 0
-	}
 	v.requests++
-	v.today++
 	v.minutes += v.minutesPerRequest
 }
 
@@ -1002,18 +930,6 @@ func (v *virtualClock) delay(ms float64) {
 
 // now returns the current virtual minute.
 func (v *virtualClock) now() float64 { return v.minutes }
-
-// quotaRemaining returns the requests left in the current virtual day,
-// or -1 when the quota is unlimited.
-func (v *virtualClock) quotaRemaining() int64 {
-	if v.dailyQuota <= 0 {
-		return -1
-	}
-	if rem := v.dailyQuota - v.today; rem > 0 {
-		return int64(rem)
-	}
-	return 0
-}
 
 func (v *virtualClock) elapsed() time.Duration {
 	return time.Duration(v.minutes * float64(time.Minute))

@@ -176,20 +176,6 @@ func TestVirtualClockPacing(t *testing.T) {
 	}
 }
 
-func TestDailyQuotaStretchesTime(t *testing.T) {
-	cfg := smallConfig()
-	cfg.RequestsPerMinute = 1000 // rate limit negligible
-	cfg.DailyQuota = 50
-	_, st, err := mustNew(t, cfg).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	days := st.Requests / cfg.DailyQuota
-	if st.VirtualDuration < time.Duration(days-1)*24*time.Hour {
-		t.Errorf("quota should stretch the campaign to ≈%d days, got %v", days, st.VirtualDuration)
-	}
-}
-
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -262,14 +248,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative rate", func(c *Config) { c.RequestsPerMinute = -3 }},
 		{"NaN rate", func(c *Config) { c.RequestsPerMinute = math.NaN() }},
 		{"infinite rate", func(c *Config) { c.RequestsPerMinute = math.Inf(1) }},
-		{"negative quota", func(c *Config) { c.DailyQuota = -1 }},
 		{"negative workers", func(c *Config) { c.Workers = -2 }},
 		{"bad flag", func(c *Config) { c.BothPingProtocols = Flag(7) }},
-		{"retries below -1", func(c *Config) { c.MaxRetries = -2 }},
-		{"negative deadline", func(c *Config) { c.TaskDeadlineMs = -1 }},
-		{"negative backoff", func(c *Config) { c.BackoffBaseMs = -1 }},
-		{"breaker below -1", func(c *Config) { c.BreakerThreshold = -3 }},
-		{"negative cooldown", func(c *Config) { c.BreakerCooldown = -time.Hour }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -283,8 +263,8 @@ func TestConfigValidate(t *testing.T) {
 			}
 		})
 	}
-	// The zero config and the explicit disables are valid.
-	for _, cfg := range []Config{{}, {MaxRetries: -1, BreakerThreshold: -1}, smallConfig()} {
+	// The zero config is valid.
+	for _, cfg := range []Config{{}, smallConfig()} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate rejected valid config: %v", err)
 		}
@@ -336,10 +316,6 @@ func TestDefaultsApplied(t *testing.T) {
 	}
 	if c.Cfg.BothPingProtocols != FlagOn {
 		t.Errorf("BothPingProtocols default = %v, want FlagOn", c.Cfg.BothPingProtocols)
-	}
-	if c.Cfg.MaxRetries == 0 || c.Cfg.TaskDeadlineMs == 0 || c.Cfg.BackoffBaseMs == 0 ||
-		c.Cfg.BreakerThreshold == 0 || c.Cfg.BreakerCooldown == 0 {
-		t.Errorf("resilience defaults not applied: %+v", c.Cfg)
 	}
 	// ProbesPerCountry deliberately defaults to zero: no cap, so volume
 	// follows probe density as on the real platform.
@@ -482,7 +458,7 @@ func TestStreamingSink(t *testing.T) {
 	cfg := smallConfig()
 	cfg.BothPingProtocols = FlagOff
 	var pings, traces bytes.Buffer
-	cfg.Sink = dataset.NewFileSink(&pings, &traces)
+	cfg.Sinks = []dataset.Sink{dataset.NewFileSink(&pings, &traces)}
 	store, st, err := mustNew(t, cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +486,7 @@ func TestStreamingSink(t *testing.T) {
 
 func TestSinkErrorSurfaces(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Sink = &failingSink{after: 3}
+	cfg.Sinks = []dataset.Sink{&failingSink{after: 3}}
 	_, _, err := mustNew(t, cfg).Run(context.Background())
 	if err == nil || !errors.Is(err, errSinkBoom) {
 		t.Errorf("sink failure not surfaced: %v", err)
@@ -533,28 +509,12 @@ func TestEmptySinkStreamsParse(t *testing.T) {
 }
 
 func TestVirtualClockUnits(t *testing.T) {
-	// One request per minute, no quota: time is linear in requests.
-	v := newVirtualClock(1, 0)
+	// One request per minute: time is linear in requests.
+	v := newVirtualClock(1)
 	for i := 0; i < 10; i++ {
 		v.admit()
 	}
 	if v.requests != 10 || v.elapsed() != 10*time.Minute {
 		t.Errorf("clock = %d requests, %v", v.requests, v.elapsed())
-	}
-	// Quota of 2 per day at high rate: the third request jumps a day.
-	v = newVirtualClock(1000, 2)
-	v.admit()
-	v.admit()
-	if v.elapsed() >= time.Hour {
-		t.Fatalf("pre-quota elapsed = %v", v.elapsed())
-	}
-	v.admit()
-	if v.elapsed() < 24*time.Hour {
-		t.Errorf("quota exhaustion should jump to the next day, elapsed = %v", v.elapsed())
-	}
-	// And the jump resets the daily budget.
-	v.admit()
-	if v.elapsed() >= 25*time.Hour {
-		t.Errorf("second request of the new day should not jump again: %v", v.elapsed())
 	}
 }

@@ -24,9 +24,6 @@ type campaignMetrics struct {
 	cycleQuotaExhausted  *obs.Counter
 
 	rtt *obs.Histogram
-
-	// quotaRemaining is the daily budget left (-1 when unlimited).
-	quotaRemaining *obs.Gauge
 }
 
 func newCampaignMetrics(reg *obs.Registry) *campaignMetrics {
@@ -45,6 +42,5 @@ func newCampaignMetrics(reg *obs.Registry) *campaignMetrics {
 		dropouts:            reg.Counter("measure_probe_dropouts_total"),
 		cycleQuotaExhausted: reg.Counter("measure_cycle_quota_exhausted_total"),
 		rtt:                 reg.Histogram("measure_rtt_ms", obs.RTTBuckets),
-		quotaRemaining:      reg.Gauge("measure_quota_remaining"),
 	}
 }

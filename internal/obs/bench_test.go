@@ -10,6 +10,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/measure"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -49,7 +50,7 @@ func runSpine(b *testing.B, instrumented bool) {
 			RequestsPerMinute:   60,
 			Workers:             4,
 			Traceroutes:         true,
-			Sink:                feed,
+			Sinks:               []dataset.Sink{feed},
 			Obs:                 reg,
 		}
 		camp, err := measure.New(benchSim, benchFleet, cfg)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/measure"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
@@ -38,7 +39,7 @@ func TestSketchChangepointDetectsCableCut(t *testing.T) {
 		MinProbesPerCountry: 1, RequestsPerMinute: 1000, Workers: 4,
 		BothPingProtocols: measure.FlagOn,
 		RegionAvailable:   scn.RegionAvailable,
-		Sink:              feed,
+		Sinks:             []dataset.Sink{feed},
 	})
 	if err != nil {
 		t.Fatal(err)

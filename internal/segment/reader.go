@@ -309,8 +309,12 @@ func (m *fileMeta) parsePeeringBlock(c *binfmt.Dec) error {
 		return fmt.Errorf("%w: peering partition %d of %d", ErrCorrupt, part, m.partitions)
 	}
 	for i, nprov := 0, c.Count(maxDictStrings); i < nprov && c.Err() == nil; i++ {
-		classes := map[pipeline.Class]int{}
 		prov := c.String(maxDictStringLen)
+		classes := m.peering[part][prov]
+		if classes == nil {
+			classes = map[pipeline.Class]int{}
+			m.peering[part][prov] = classes
+		}
 		for j, ncl := 0, c.Count(256); j < ncl; j++ {
 			cl, n := c.Uvarint(), c.Uvarint()
 			if cl > 255 {
@@ -318,7 +322,6 @@ func (m *fileMeta) parsePeeringBlock(c *binfmt.Dec) error {
 			}
 			classes[pipeline.Class(cl)] += int(n)
 		}
-		store.FoldPeering(m.peering[part], map[string]map[pipeline.Class]int{prov: classes})
 	}
 	return blockErr("peering block", c.End())
 }

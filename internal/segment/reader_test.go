@@ -234,7 +234,25 @@ func TestMountAllocs(t *testing.T) {
 	if err := Write(spine, spineStore(t)); err != nil {
 		t.Fatal(err)
 	}
-	for _, dir := range []string{goldenDir, written, spine} {
+	// checkMeta bounds one CheckMeta per directory, as measured: the
+	// meta block's shape slices and per-shard dictionaries, plus one
+	// class map per (partition, provider) peering tally, folded in place.
+	for _, tc := range []struct {
+		dir       string
+		checkMeta float64
+	}{{goldenDir, 34}, {written, 51}, {spine, 37}} {
+		dir := tc.dir
+		meta, err := os.ReadFile(filepath.Join(dir, MetaFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(10, func() {
+			if err := CheckMeta(meta); err != nil {
+				t.Fatal(err)
+			}
+		}); got > tc.checkMeta {
+			t.Errorf("%s: CheckMeta allocates %v times, want ≤ %v", dir, got, tc.checkMeta)
+		}
 		r, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -109,6 +109,7 @@ func compareFigures(t *testing.T, shards, parts int, w store.Window, exact, appr
 	for _, platform := range []string{"speedchecker", "atlas"} {
 		ec := exact.ContinentCDFsWindow(platform, w)
 		ac := approx.ContinentCDFsWindow(platform, w)
+		samples := exact.gatherExact(store.DimContinent, platform, w)
 		if len(ec) != len(ac) {
 			t.Fatalf("shards=%d parts=%d w=%+v: %s CDF continent count %d vs %d", shards, parts, w, platform, len(ac), len(ec))
 		}
@@ -127,8 +128,9 @@ func compareFigures(t *testing.T, shards, parts int, w store.Window, exact, appr
 				}
 			}
 			// Sample the curve at the exact CDF's own quantiles.
+			xs := stats.Sorted(samples[ec[i].Continent.String()])
 			for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-				x := ec[i].CDF.InverseAt(q)
+				x := xs.Quantile(q)
 				if d := math.Abs(ac[i].CDF.At(x) - ec[i].CDF.At(x)); d > epsCDFCurve {
 					t.Errorf("shards=%d parts=%d w=%+v: %s %v CDF(%.1fms) abs err %.4f > %.4f",
 						shards, parts, w, platform, ec[i].Continent, x, d, epsCDFCurve)
@@ -213,7 +215,7 @@ func TestGroupQuantilesSketch(t *testing.T) {
 	if !ok {
 		t.Fatal("full-window group query refused the sketch path")
 	}
-	de := st.CountrySamples("speedchecker")["DE"]
+	de := st.CountrySamplesWindow("speedchecker", store.Window{})["DE"]
 	exactVals, err := stats.QuantilesSorted(de, 0.5, 0.95)
 	if err != nil {
 		t.Fatal(err)

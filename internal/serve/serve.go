@@ -93,11 +93,6 @@ type Options struct {
 	// and fills the cache. Cache hits do no work and carry no deadline
 	// (default 5s).
 	Timeout time.Duration
-	// MinMapSamples is the default per-country sample floor of
-	// /v1/latency-map when the request has no min parameter (default 10).
-	MinMapSamples int
-	// CDFPoints is the default curve resolution of /v1/cdf (default 64).
-	CDFPoints int
 	// Obs is the registry behind /v1/metricsz and the per-endpoint
 	// counters in /v1/statsz. Share the campaign's registry here and one
 	// scrape shows the whole spine. Nil gets a private registry, so the
@@ -131,18 +126,20 @@ func (o Options) withDefaults() Options {
 	if o.Timeout <= 0 {
 		o.Timeout = 5 * time.Second
 	}
-	if o.MinMapSamples <= 0 {
-		o.MinMapSamples = 10
-	}
-	if o.CDFPoints <= 0 {
-		o.CDFPoints = 64
-	}
 	return o
 }
 
-// maxCDFPoints bounds the points parameter so one request cannot ask
-// for an absurd curve.
-const maxCDFPoints = 4096
+const (
+	// defaultMinMapSamples is the per-country sample floor of
+	// /v1/latency-map when the request has no min parameter.
+	defaultMinMapSamples = 10
+	// defaultCDFPoints is the curve resolution of /v1/cdf when the
+	// request has no points parameter.
+	defaultCDFPoints = 64
+	// maxCDFPoints bounds the points parameter so one request cannot ask
+	// for an absurd curve.
+	maxCDFPoints = 4096
+)
 
 // epochStore pairs a store with the epoch it was mounted under. One
 // atomic load hands a request both halves, so a request can never
@@ -474,7 +471,7 @@ type CacheStats struct {
 // ---- handlers ----
 
 func (s *Server) handleLatencyMap(w http.ResponseWriter, r *http.Request) {
-	minSamples := s.opts.MinMapSamples
+	minSamples := defaultMinMapSamples
 	if err := intParam(r.URL.Query(), "min", 1, 1<<30, &minSamples); err != nil {
 		s.badRequest(w, "latency-map", err)
 		return
@@ -497,7 +494,7 @@ func (s *Server) handleCDF(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "cdf", err)
 		return
 	}
-	points := s.opts.CDFPoints
+	points := defaultCDFPoints
 	if err := intParam(q, "points", 2, maxCDFPoints, &points); err != nil {
 		s.badRequest(w, "cdf", err)
 		return

@@ -187,9 +187,6 @@ func (c CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// InverseAt returns the q-th quantile of the sample.
-func (c CDF) InverseAt(q float64) float64 { return quantileSorted(c.sorted, q) }
-
 // N returns the sample count.
 func (c CDF) N() int { return len(c.sorted) }
 

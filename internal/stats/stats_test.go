@@ -187,9 +187,6 @@ func TestCDF(t *testing.T) {
 	if c.N() != 5 {
 		t.Errorf("N = %d", c.N())
 	}
-	if got := c.InverseAt(0.5); got != 2 {
-		t.Errorf("InverseAt(0.5) = %v", got)
-	}
 	if _, err := NewCDF(nil); err != ErrEmpty {
 		t.Error("empty CDF should fail")
 	}

@@ -93,7 +93,7 @@ func (f *Feed) Len() (int, int) { return f.pings, f.traces }
 // batch adapter path, where traces were already classified and the
 // time axis is gone; the tallies land in the first partition.
 func (f *Feed) AddPeeringCounts(counts map[string]map[pipeline.Class]int) {
-	FoldPeering(f.counts[0], counts)
+	foldPeering(f.counts[0], counts)
 }
 
 // Seal finalizes both nearest-DC assignments and freezes everything

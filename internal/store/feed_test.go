@@ -52,7 +52,7 @@ func TestFeedMatchesBatchFromCampaign(t *testing.T) {
 	}
 	runCampaign := func(fleet *probes.Fleet, cfg measure.Config) {
 		t.Helper()
-		cfg.Sink = sample.NewBus(sample.BusOptions{Buffer: 64}, sinks...)
+		cfg.Sinks = []dataset.Sink{sample.NewBus(sample.BusOptions{Buffer: 64}, sinks...)}
 		campaign, err := measure.New(sim, fleet, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -97,8 +97,8 @@ func TestFeedMatchesBatchFromCampaign(t *testing.T) {
 		if got, want := st.PeeringShares(), batch.PeeringShares(); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: PeeringShares diverges from batch:\ngot  %+v\nwant %+v", shards, got, want)
 		}
-		if got, want := st.CountrySamples("speedchecker"), batch.CountrySamples("speedchecker"); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: CountrySamples diverges from batch", shards)
+		if got, want := st.CountrySamplesWindow("speedchecker", Window{}), batch.CountrySamplesWindow("speedchecker", Window{}); !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: CountrySamplesWindow diverges from batch", shards)
 		}
 	}
 

@@ -44,13 +44,9 @@ func (s *Store) gather(dim dimension, w Window, platform string) map[string][]fl
 	return out
 }
 
-// CountrySamples returns the platform's nearest-DC RTT samples merged
-// per VP country, each vector sorted ascending.
-func (s *Store) CountrySamples(platform string) map[string][]float64 {
-	return s.CountrySamplesWindow(platform, Window{})
-}
-
-// CountrySamplesWindow is CountrySamples restricted to a cycle window.
+// CountrySamplesWindow returns the platform's nearest-DC RTT samples
+// within a cycle window merged per VP country, each vector sorted
+// ascending.
 func (s *Store) CountrySamplesWindow(platform string, w Window) map[string][]float64 {
 	return s.gather(dimCountry, w, platform)
 }
@@ -129,14 +125,14 @@ func PeeringSharesIn(parts []map[string]map[pipeline.Class]int, windows []Window
 	merged := map[string]map[pipeline.Class]int{}
 	for i, part := range parts {
 		if windows[i].OverlapsWindow(w) {
-			FoldPeering(merged, part)
+			foldPeering(merged, part)
 		}
 	}
 	return analysis.InterconnectionsFromCounts(merged)
 }
 
-// FoldPeering adds src's per-provider interconnection tallies into dst.
-func FoldPeering(dst, src map[string]map[pipeline.Class]int) {
+// foldPeering adds src's per-provider interconnection tallies into dst.
+func foldPeering(dst, src map[string]map[pipeline.Class]int) {
 	for prov, classes := range src {
 		cur := dst[prov]
 		if cur == nil {

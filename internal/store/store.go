@@ -171,7 +171,7 @@ func (b *Builder) AddPeeringCounts(counts map[string]map[pipeline.Class]int) {
 // AddPeeringCountsAt folds interconnection tallies into the partition
 // covering the (possibly trace-decorated) cycle.
 func (b *Builder) AddPeeringCountsAt(cycle int, counts map[string]map[pipeline.Class]int) {
-	FoldPeering(b.peering[b.opts.partitionIndex(cycle)], counts)
+	foldPeering(b.peering[b.opts.partitionIndex(cycle)], counts)
 }
 
 // Seal freezes the builder into an immutable Store: every shard sorts

@@ -123,7 +123,7 @@ func TestStoreMatchesBatchAnalysis(t *testing.T) {
 func TestCountryQuantilesMatchStats(t *testing.T) {
 	st, ds, _ := fixtureStore(t, 8)
 	byCountry := analysis.CollectStore(ds).Nearest("speedchecker").ByCountry()
-	merged := st.CountrySamples("speedchecker")
+	merged := st.CountrySamplesWindow("speedchecker", Window{})
 	for country, xs := range byCountry {
 		got, err := stats.QuantilesSorted(merged[country], 0.25, 0.5, 0.9)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/dataset"
 	"repro/internal/measure"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
@@ -96,7 +97,7 @@ func TestWindowedQueriesMatchGroundTruth(t *testing.T) {
 
 		// A window explicitly spanning the whole campaign must answer
 		// identically to no window at all.
-		if got, want := dropEmpty(st.CountrySamplesWindow("speedchecker", full)), dropEmpty(baseline.CountrySamples("speedchecker")); !reflect.DeepEqual(got, want) {
+		if got, want := dropEmpty(st.CountrySamplesWindow("speedchecker", full)), dropEmpty(baseline.CountrySamplesWindow("speedchecker", Window{})); !reflect.DeepEqual(got, want) {
 			t.Errorf("partitions=%d: full-window CountrySamples diverges from unwindowed", parts)
 		}
 		if got, want := st.LatencyMapWindow(10, full), baseline.LatencyMap(10); !reflect.DeepEqual(got, want) {
@@ -177,7 +178,7 @@ func TestChangepointDetectsCableCut(t *testing.T) {
 		MinProbesPerCountry: 1, RequestsPerMinute: 1000, Workers: 4,
 		BothPingProtocols: measure.FlagOn,
 		RegionAvailable:   scn.RegionAvailable,
-		Sink:              feed,
+		Sinks:             []dataset.Sink{feed},
 	}
 	campaign, err := measure.New(sim, sc, cfg)
 	if err != nil {

@@ -41,13 +41,6 @@ type Config struct {
 	// Seed drives all randomized decisions. The same seed yields an
 	// identical world.
 	Seed int64
-	// Tier1AttachProb is the probability a synthetic access ISP buys
-	// transit from a Tier-1 directly (default 0.35).
-	Tier1AttachProb float64
-	// IXPDirectProb is the probability a policy-chosen direct peering
-	// is established over a public IXP fabric rather than a PNI
-	// (default 0.10; IBM uses 0.35, see §6.2).
-	IXPDirectProb float64
 	// ForcePublicPeering is an ablation switch: every <ISP, provider>
 	// pair rides the public Internet, erasing the paper's peering
 	// fabric (used by the ablation benches to show what direct peering
@@ -55,15 +48,15 @@ type Config struct {
 	ForcePublicPeering bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Tier1AttachProb == 0 {
-		c.Tier1AttachProb = 0.35
-	}
-	if c.IXPDirectProb == 0 {
-		c.IXPDirectProb = 0.10
-	}
-	return c
-}
+const (
+	// tier1AttachProb is the probability a synthetic access ISP buys
+	// transit from a Tier-1 directly.
+	tier1AttachProb = 0.35
+	// ixpDirectProb is the probability a policy-chosen direct peering
+	// is established over a public IXP fabric rather than a PNI (IBM
+	// uses 0.35, see §6.2).
+	ixpDirectProb = 0.10
+)
 
 type icKey struct {
 	isp      asn.Number
@@ -101,7 +94,6 @@ type popSet struct {
 
 // Build synthesizes a world from the configuration.
 func Build(cfg Config) (*World, error) {
-	cfg = cfg.withDefaults()
 	w := &World{
 		Config:          cfg,
 		Inventory:       cloud.NewInventory(),
@@ -560,7 +552,7 @@ func (w *World) buildCountries(rng *rand.Rand) error {
 			if _, err := w.addAccessISP(accessAlloc, nextAccess,
 				fmt.Sprintf("%s ISP %d", country.Code, i+1), country,
 				share*country.UserWeight, tier2s,
-				rng.Float64() < w.Config.Tier1AttachProb, rng); err != nil {
+				rng.Float64() < tier1AttachProb, rng); err != nil {
 				return err
 			}
 			nextAccess++
@@ -756,7 +748,7 @@ func (w *World) decideInterconnect(isp *asn.AS, prov *cloud.Provider, country ge
 	r := rng.Float64()
 	switch {
 	case r < pol.Direct:
-		ixpProb := w.Config.IXPDirectProb
+		ixpProb := ixpDirectProb
 		if prov.Code == "IBM" {
 			ixpProb = 0.35
 		}
