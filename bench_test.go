@@ -12,29 +12,30 @@ import (
 	"sync"
 	"testing"
 
-	cloudy "repro"
 	"repro/internal/analysis"
 	"repro/internal/asn"
 	"repro/internal/bgp"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/edge"
 	"repro/internal/geo"
 	"repro/internal/netaddr"
+	"repro/internal/pipeline"
 	"repro/internal/probes"
 	"repro/internal/world"
 )
 
 var (
 	benchOnce  sync.Once
-	benchStudy *cloudy.Study
+	benchStudy *core.Study
 )
 
 // benchData runs one moderately sized campaign shared by all figure
 // benches (seeded, deterministic).
-func benchData(b *testing.B) *cloudy.Study {
+func benchData(b *testing.B) *core.Study {
 	b.Helper()
 	benchOnce.Do(func() {
-		s, err := cloudy.RunStudy(context.Background(), cloudy.StudyConfig{
+		s, err := core.Run(context.Background(), core.Config{
 			Seed: 1, Scale: 0.05, Cycles: 4, TargetsPerProbe: 6,
 		})
 		if err != nil {
@@ -385,7 +386,7 @@ func BenchmarkPipelineProcess(b *testing.B) {
 	if len(s.Store.Traces) == 0 {
 		b.Skip("no traces")
 	}
-	proc := cloudy.NewProcessor(s.World)
+	proc := pipeline.NewProcessor(s.World)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		proc.Process(&s.Store.Traces[i%len(s.Store.Traces)])
@@ -458,7 +459,7 @@ func BenchmarkFleetGeneration(b *testing.B) {
 
 func BenchmarkFullReport(b *testing.B) {
 	s := benchData(b)
-	results := s.Analyze(cloudy.AnalyzeConfig{})
+	results := s.Analyze(core.AnalyzeConfig{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.WriteReport(io.Discard, results)

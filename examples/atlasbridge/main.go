@@ -11,15 +11,15 @@ import (
 	"fmt"
 	"log"
 
-	cloudy "repro"
 	"repro/internal/analysis"
 	"repro/internal/atlasfmt"
+	"repro/internal/core"
 	"repro/internal/dataset"
 )
 
 func main() {
 	log.SetFlags(0)
-	study, err := cloudy.RunStudy(context.Background(), cloudy.StudyConfig{
+	study, err := core.Run(context.Background(), core.Config{
 		Seed: 13, Scale: 0.02, Cycles: 2,
 	})
 	if err != nil {

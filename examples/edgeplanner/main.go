@@ -10,13 +10,13 @@ import (
 	"fmt"
 	"log"
 
-	cloudy "repro"
+	"repro/internal/core"
 	"repro/internal/edge"
 )
 
 func main() {
 	log.SetFlags(0)
-	study, err := cloudy.RunStudy(context.Background(), cloudy.StudyConfig{
+	study, err := core.Run(context.Background(), core.Config{
 		Seed: 21, Scale: 0.05, Cycles: 4,
 	})
 	if err != nil {

@@ -10,15 +10,15 @@ import (
 	"log"
 	"os"
 
-	cloudy "repro"
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/stats"
 )
 
 func main() {
 	log.SetFlags(0)
-	study, err := cloudy.RunStudy(context.Background(), cloudy.StudyConfig{
+	study, err := core.Run(context.Background(), core.Config{
 		Seed: 3, Scale: 0.05, Cycles: 4,
 	})
 	if err != nil {
@@ -52,11 +52,11 @@ func main() {
 	}
 	med, _ := stats.Median(wireless)
 	fmt.Printf("\nEdge feasibility check (%d wireless last-mile samples):\n", len(wireless))
-	fmt.Printf("  median wireless access RTT: %.1f ms (MTP budget is %d ms end-to-end)\n", med, cloudy.MTPms)
+	fmt.Printf("  median wireless access RTT: %.1f ms (MTP budget is %d ms end-to-end)\n", med, analysis.MTPms)
 	fmt.Printf("  even with a server AT the last-mile hop, only %.0f%% of accesses fit MTP\n",
-		100*cdf.At(cloudy.MTPms))
+		100*cdf.At(analysis.MTPms))
 	fmt.Printf("  ...but %.0f%% fit HPL, which the cloud already delivers in dense regions\n",
-		100*cdf.At(cloudy.HPLms))
+		100*cdf.At(analysis.HPLms))
 	fmt.Println("conclusion (§7): MTP-class apps stay infeasible over today's wireless no matter")
 	fmt.Println("where compute sits; HPL/HRT apps don't need the edge where datacenters are dense.")
 }

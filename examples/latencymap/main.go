@@ -15,18 +15,19 @@ import (
 	"log"
 	"sort"
 
-	cloudy "repro"
+	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 func main() {
 	log.SetFlags(0)
-	study, err := cloudy.RunStudy(context.Background(), cloudy.StudyConfig{
+	study, err := core.Run(context.Background(), core.Config{
 		Seed: 7, Scale: 0.05, Cycles: 4,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	results := study.Analyze(cloudy.AnalyzeConfig{MinMapSamples: 8})
+	results := study.Analyze(core.AnalyzeConfig{MinMapSamples: 8})
 
 	entries := results.LatencyMap
 	sort.Slice(entries, func(i, j int) bool { return entries[i].MedianMs < entries[j].MedianMs })
@@ -54,11 +55,11 @@ func main() {
 // reasoning to one country's median.
 func verdict(median float64) string {
 	switch {
-	case median < cloudy.MTPms:
+	case median < analysis.MTPms:
 		return "cloud already meets MTP; edge unnecessary"
-	case median < cloudy.HPLms:
+	case median < analysis.HPLms:
 		return "cloud meets HPL; edge helps only MTP apps (last-mile limits those anyway)"
-	case median < cloudy.HRTms:
+	case median < analysis.HRTms:
 		return "regional edge or a nearby datacenter would help noticeably"
 	default:
 		return "needs infrastructure: even HRT is out of reach today"

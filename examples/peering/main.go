@@ -14,8 +14,8 @@ import (
 	"log"
 	"os"
 
-	cloudy "repro"
 	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/report"
 )
 
@@ -25,7 +25,7 @@ func main() {
 	to := flag.String("to", "IN", "datacenter country")
 	flag.Parse()
 
-	study, err := cloudy.RunStudy(context.Background(), cloudy.StudyConfig{
+	study, err := core.Run(context.Background(), core.Config{
 		Seed: 11, Scale: 0.06, Cycles: 4,
 	})
 	if err != nil {

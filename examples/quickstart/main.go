@@ -9,14 +9,15 @@ import (
 	"log"
 	"os"
 
-	cloudy "repro"
+	"repro/internal/analysis"
+	"repro/internal/core"
 )
 
 func main() {
 	log.SetFlags(0)
 	fmt.Println("Reproducing 'Cloudy with a Chance of Short RTTs' (IMC 2021) at 3% scale...")
 
-	study, err := cloudy.RunStudy(context.Background(), cloudy.StudyConfig{
+	study, err := core.Run(context.Background(), core.Config{
 		Seed:   42,
 		Scale:  0.03, // 3% of the 115K-probe fleet keeps this under a minute
 		Cycles: 3,
@@ -28,12 +29,12 @@ func main() {
 	fmt.Printf("campaign done: %d pings, %d traceroutes from %d+%d probes\n\n",
 		np, nt, study.SC.Len(), study.Atlas.Len())
 
-	results := study.Analyze(cloudy.AnalyzeConfig{MinMapSamples: 6})
+	results := study.Analyze(core.AnalyzeConfig{MinMapSamples: 6})
 
 	// §4.1 takeaway: who meets which QoE threshold.
 	t := results.Thresholds
 	fmt.Printf("Of %d measured countries: %d meet MTP (<%d ms), %d meet HPL (<%d ms), %d meet HRT (<%d ms)\n",
-		t.Countries, t.UnderMTP, cloudy.MTPms, t.UnderHPL, cloudy.HPLms, t.UnderHRT, cloudy.HRTms)
+		t.Countries, t.UnderMTP, analysis.MTPms, t.UnderHPL, analysis.HPLms, t.UnderHRT, analysis.HRTms)
 
 	// §4.2: the measurement platform matters.
 	fmt.Println("\nPlatform comparison (share of the distribution where Atlas is faster):")

@@ -141,9 +141,6 @@ func (c *Controller) Acquire() (release func(), ok bool) {
 	return func() { c.inflight.Add(-1) }, true
 }
 
-// InFlight returns the current concurrency reading.
-func (c *Controller) InFlight() int64 { return c.inflight.Load() }
-
 // Allow spends one token from client's bucket. When the bucket is
 // empty it returns ok=false and the duration until one token will
 // have refilled — the Retry-After the HTTP layer should advertise.

@@ -127,7 +127,7 @@ func TestLimiterShedsPastCeiling(t *testing.T) {
 		r3()
 	}
 	r2()
-	if got := c.InFlight(); got != 0 {
+	if got := c.inflight.Load(); got != 0 {
 		t.Errorf("in-flight after all releases = %d, want 0", got)
 	}
 }
@@ -158,7 +158,7 @@ func TestConcurrentAdmission(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := c.InFlight(); got != 0 {
+	if got := c.inflight.Load(); got != 0 {
 		t.Errorf("in-flight after quiesce = %d, want 0", got)
 	}
 }

@@ -108,6 +108,13 @@ func TestLatencyMapShape(t *testing.T) {
 	}
 }
 
+// TestThresholdConstants pins the QoE thresholds of §2.1.
+func TestThresholdConstants(t *testing.T) {
+	if MTPms != 20 || HPLms != 100 || HRTms != 250 {
+		t.Errorf("QoE thresholds drifted: %v %v %v", MTPms, HPLms, HRTms)
+	}
+}
+
 func TestThresholdTakeaway(t *testing.T) {
 	f := testData(t)
 	entries := CollectStore(f.store).LatencyMap(10)

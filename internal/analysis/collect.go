@@ -407,22 +407,6 @@ func (a *Aggregates) Add(r *dataset.PingRecord) {
 	a.providers.add(r)
 }
 
-// Collect drains src through a single pass and returns the aggregates
-// every figure draws from.
-func Collect(src dataset.Source) (*Aggregates, error) {
-	a := NewAggregates()
-	for {
-		r, ok, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return a, nil
-		}
-		a.Add(&r)
-	}
-}
-
 // CollectStore is the batch adapter: one pass over the materialized
 // store's pings.
 func CollectStore(store *dataset.Store) *Aggregates {

@@ -15,7 +15,7 @@ import (
 //     run every ping figure as an independent full scan (the legacy
 //     batch entry points);
 //   - streaming: pull the export through the codec cursor into one
-//     single-pass Collect and answer every figure from the Aggregates.
+//     single pass of Aggregates.Add and answer every figure from it.
 //
 // The streaming side never materializes the record slice, so its
 // allocations are bounded by the grouped sample lists.
@@ -50,9 +50,16 @@ func BenchmarkStreamingVsMaterialized(b *testing.B) {
 	b.Run("streaming", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			agg, err := Collect(dataset.NewPingCursor(bytes.NewReader(raw)))
-			if err != nil {
-				b.Fatal(err)
+			agg, cur := NewAggregates(), dataset.NewPingCursor(bytes.NewReader(raw))
+			for {
+				r, ok, err := cur.Next()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				agg.Add(&r)
 			}
 			_ = agg.LatencyMap(10)
 			_ = agg.ContinentDistributions("speedchecker")

@@ -9,17 +9,14 @@ import (
 	"repro/internal/stats"
 )
 
-// TestCollectMatchesBatch checks the Figure 3–5 kernels a Collect pass
-// feeds against plain batch arithmetic over the same nearest-DC
+// TestCollectMatchesBatch checks the Figure 3–5 kernels a CollectStore
+// pass feeds against plain batch arithmetic over the same nearest-DC
 // vectors: a copy-and-sort median, the order statistics at
 // stats.MedianCIRank, counted threshold shares and per-centile quantile
 // differences, all bit for bit.
 func TestCollectMatchesBatch(t *testing.T) {
 	f := testData(t)
-	agg, err := Collect(f.store.PingSource())
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := CollectStore(f.store)
 	sorted := func(xs []float64) []float64 {
 		s := append([]float64(nil), xs...)
 		sort.Float64s(s)
@@ -103,63 +100,6 @@ func TestCollectMatchesBatch(t *testing.T) {
 		}
 		if want := float64(atlasFaster) / 99; d.AtlasFasterShare != want {
 			t.Fatalf("%v: AtlasFasterShare = %v, want %v", d.Continent, d.AtlasFasterShare, want)
-		}
-	}
-}
-
-// TestCollectStoreMatchesCollect proves the single-pass core: one
-// Collect scan over the campaign's ping stream and CollectStore over
-// the materialized pings must agree on every figure bit for bit — same
-// Welford accumulation order, same tie-breaks, same sample-list order.
-func TestCollectStoreMatchesCollect(t *testing.T) {
-	f := testData(t)
-	fromSrc, err := Collect(f.store.PingSource())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromStore := CollectStore(f.store)
-
-	for _, platform := range []string{"speedchecker", "atlas"} {
-		want, got := fromStore.Nearest(platform), fromSrc.Nearest(platform)
-		if !reflect.DeepEqual(want.Region, got.Region) {
-			t.Fatalf("%s: Nearest regions diverge", platform)
-		}
-		if !reflect.DeepEqual(want.Samples, got.Samples) {
-			t.Fatalf("%s: Nearest samples diverge", platform)
-		}
-		if !reflect.DeepEqual(want.Meta, got.Meta) {
-			t.Fatalf("%s: Nearest meta diverges", platform)
-		}
-		if !reflect.DeepEqual(fromStore.ContinentDistributions(platform), fromSrc.ContinentDistributions(platform)) {
-			t.Fatalf("%s: ContinentDistributions diverge", platform)
-		}
-	}
-	if !reflect.DeepEqual(fromStore.LatencyMap(10), fromSrc.LatencyMap(10)) {
-		t.Fatal("LatencyMap diverges")
-	}
-	if !reflect.DeepEqual(fromStore.PlatformComparison(), fromSrc.PlatformComparison()) {
-		t.Fatal("PlatformComparison diverges")
-	}
-	if !reflect.DeepEqual(fromStore.MatchedComparison(3), fromSrc.MatchedComparison(3)) {
-		t.Fatal("MatchedComparison diverges")
-	}
-	if !reflect.DeepEqual(fromStore.ProtocolComparisons(), fromSrc.ProtocolComparisons()) {
-		t.Fatal("ProtocolComparisons diverge")
-	}
-	if !reflect.DeepEqual(fromStore.ProviderComparison(5), fromSrc.ProviderComparison(5)) {
-		t.Fatal("ProviderComparison diverges")
-	}
-	// Two InterContinental queries with different filters must both work
-	// off the same collection (the filter is applied at query time).
-	for _, q := range []struct {
-		countries []string
-		targets   []geo.Continent
-	}{
-		{[]string{"DE", "BR", "JP", "ZA"}, []geo.Continent{geo.EU, geo.NA, geo.AS}},
-		{[]string{"AU"}, []geo.Continent{geo.OC, geo.AS}},
-	} {
-		if !reflect.DeepEqual(fromStore.InterContinental(q.countries, q.targets), fromSrc.InterContinental(q.countries, q.targets)) {
-			t.Fatalf("InterContinental(%v, %v) diverges", q.countries, q.targets)
 		}
 	}
 }

@@ -84,16 +84,8 @@ func (g *Graph) HasTransit(provider, customer asn.Number) bool {
 // Providers returns the transit providers of a, sorted by ASN.
 func (g *Graph) Providers(a asn.Number) []asn.Number { return g.providers[a] }
 
-// Customers returns the customers of a, sorted by ASN.
-func (g *Graph) Customers(a asn.Number) []asn.Number { return g.customers[a] }
-
 // Peers returns the settlement-free peers of a, sorted by ASN.
 func (g *Graph) Peers(a asn.Number) []asn.Number { return g.peers[a] }
-
-// Degree returns the total number of adjacencies of a.
-func (g *Graph) Degree(a asn.Number) int {
-	return len(g.providers[a]) + len(g.customers[a]) + len(g.peers[a])
-}
 
 func (g *Graph) invalidate() {
 	g.mu.Lock()

@@ -20,8 +20,8 @@ type WorkerOptions struct {
 	Obs *obs.Registry
 }
 
-// Dialer connects a worker to its coordinator — LocalTransport.Dial
-// in-process, DialTCP across machines.
+// Dialer connects a worker to its coordinator — DialTCP across
+// machines, the tests' in-process LocalTransport.Dial otherwise.
 type Dialer func(ctx context.Context) (Conn, error)
 
 // Worker runs campaign shards on behalf of a coordinator: it dials,

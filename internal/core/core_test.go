@@ -60,6 +60,12 @@ func TestEndToEndStudy(t *testing.T) {
 	if s.SCStats.Pings == 0 || s.AtlasStats.Pings == 0 {
 		t.Error("campaign stats empty")
 	}
+	if s.SC.Len() == 0 || s.Atlas.Len() == 0 {
+		t.Errorf("fleets: %d Speedchecker, %d Atlas probes", s.SC.Len(), s.Atlas.Len())
+	}
+	if got := s.SCStats.Pings + s.AtlasStats.Pings; got != np {
+		t.Errorf("campaign stats count %d pings, store holds %d", got, np)
+	}
 }
 
 func TestReportRendering(t *testing.T) {

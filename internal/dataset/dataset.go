@@ -43,13 +43,6 @@ type Hop = sample.Hop
 // TracerouteRecord is one ICMP traceroute.
 type TracerouteRecord = sample.TraceSample
 
-// Source is a pull cursor over ping records; see sample.Source for the
-// contract.
-type Source = sample.Source
-
-// TraceSource is a pull cursor over traceroute records.
-type TraceSource = sample.TraceSource
-
 // Store accumulates measurement records in memory. The zero value is
 // ready for use. Store is not safe for concurrent mutation; the
 // campaign engine serializes writes through a single collector.
@@ -74,13 +67,6 @@ func (s *Store) AddPing(r PingRecord) { s.Pings = append(s.Pings, r) }
 
 // AddTrace appends a traceroute record.
 func (s *Store) AddTrace(r TracerouteRecord) { s.Traces = append(s.Traces, r) }
-
-// PingSource returns a cursor over the stored ping records in insertion
-// order. The store must not be mutated while the cursor is live.
-func (s *Store) PingSource() Source { return sample.NewSliceSource(s.Pings) }
-
-// TraceSource returns a cursor over the stored traceroute records.
-func (s *Store) TraceSource() TraceSource { return sample.NewSliceTraceSource(s.Traces) }
 
 // PingFilter selects ping records; zero fields match everything.
 type PingFilter struct {

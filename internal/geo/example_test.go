@@ -15,6 +15,6 @@ func ExampleDistanceKm() {
 
 func ExampleCountryByCode() {
 	de, _ := geo.CountryByCode("DE")
-	fmt.Println(de.Name, de.Continent)
-	// Output: Germany EU
+	fmt.Println(de.Code, de.Continent)
+	// Output: DE EU
 }

@@ -178,12 +178,11 @@ func ParseContinent(s string) (Continent, error) {
 }
 
 // Country describes one country in the study's coverage: ISO 3166-1
-// alpha-2 code, display name, continent, population centroid, and a
+// alpha-2 code, continent, population centroid, and a
 // relative Internet-user weight (APNIC-style population share used to
 // distribute synthetic vantage points).
 type Country struct {
 	Code       string
-	Name       string
 	Continent  Continent
 	Centroid   Point
 	UserWeight float64 // relative Internet-user population, arbitrary units

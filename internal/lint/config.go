@@ -14,7 +14,7 @@ func DefaultConfig() *Config {
 	return &Config{
 		Analyzers: []*Analyzer{
 			NoRawTime, NoGlobalRand, FloatEq, UncheckedErr, CtxPropagate, StoreAppend,
-			SpanEnd, GoroutineLeak, LockHeld, FrameExhaustive, MetricName,
+			SpanEnd, GoroutineLeak, LockHeld, FrameExhaustive, MetricName, UnusedExport,
 		},
 		Scopes: map[string]Scope{
 			// Everything under internal/ is simulation or analysis code
@@ -27,7 +27,7 @@ func DefaultConfig() *Config {
 			//     it is the ONE place deterministic packages may route
 			//     timing through, which is exactly why it cannot itself be
 			//     clock-free.
-			// cmd/ and examples/ are thin CLI shells over the library
+			// cmd/ and examples/ are mains over the internal packages
 			// and may time their own runs.
 			NoRawTime.Name: {
 				Include: []string{"internal"},
@@ -78,6 +78,11 @@ func DefaultConfig() *Config {
 			LockHeld.Name:        {Include: []string{""}},
 			FrameExhaustive.Name: {Include: []string{""}},
 			MetricName.Name:      {Include: []string{""}},
+			// Every export under internal/ needs a user (fixtures excepted).
+			UnusedExport.Name: {
+				Include: []string{"internal"},
+				Exclude: []string{"internal/lint/testdata"},
+			},
 		},
 	}
 }

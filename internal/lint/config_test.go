@@ -28,7 +28,8 @@ func TestNoRawTimeObsExemption(t *testing.T) {
 		clone := *pkg
 		clone.RelPath = rel
 		var out []Finding
-		for _, f := range Run(cfg, []*Package{&clone}) {
+		findings, _ := RunWith(cfg, []*Package{&clone}, RunOptions{})
+		for _, f := range findings {
 			if f.Analyzer == NoRawTime.Name {
 				out = append(out, f)
 			}
@@ -97,6 +98,7 @@ func TestAnalyzerSetPinned(t *testing.T) {
 		"norawtime", "noglobalrand", "floateq", "uncheckederr",
 		"ctxpropagate", "storeappend",
 		"spanend", "goroutineleak", "lockheld", "frameexhaustive", "metricname",
+		"unusedexport",
 	}
 	cfg := DefaultConfig()
 	if len(cfg.Analyzers) != len(want) {

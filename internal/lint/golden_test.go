@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -30,6 +31,10 @@ var goldenFixtures = map[string]*Analyzer{
 	"lockheld":        LockHeld,
 	"frameexhaustive": FrameExhaustive,
 	"metricname":      MetricName,
+
+	// Module-wide: the fixture's user subpackage and the _test.go files
+	// beside both decide what counts as used.
+	"unusedexport": UnusedExport,
 }
 
 // wantRE pulls the quoted regexps out of a // want "..." comment.
@@ -76,8 +81,31 @@ func TestGolden(t *testing.T) {
 	for _, name := range names {
 		az := goldenFixtures[name]
 		t.Run(name, func(t *testing.T) {
+			// A fixture may hold subpackages (unusedexport's user);
+			// every package under it is in the run.
 			dir := filepath.Join("testdata", "src", name)
-			pkg, err := loader.LoadDir(dir)
+			var pkgs []*Package
+			wants := map[string]map[int][]*regexp.Regexp{}
+			err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if d.IsDir() {
+					pkg, err := loader.LoadDir(path)
+					if err == nil {
+						pkgs = append(pkgs, pkg)
+					}
+					return err
+				}
+				if strings.HasSuffix(path, ".go") {
+					abs, err := filepath.Abs(path)
+					if err != nil {
+						return err
+					}
+					wants[abs] = parseWants(t, path)
+				}
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,25 +114,10 @@ func TestGolden(t *testing.T) {
 				Scopes:    map[string]Scope{az.Name: {Include: []string{""}}},
 			}
 			var findings []Finding
-			for _, f := range Run(cfg, []*Package{pkg}) {
+			all, _ := RunWith(cfg, pkgs, RunOptions{})
+			for _, f := range all {
 				if f.Analyzer == az.Name {
 					findings = append(findings, f)
-				}
-			}
-
-			wants := map[string]map[int][]*regexp.Regexp{}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if strings.HasSuffix(e.Name(), ".go") {
-					path := filepath.Join(dir, e.Name())
-					abs, err := filepath.Abs(path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wants[abs] = parseWants(t, path)
 				}
 			}
 

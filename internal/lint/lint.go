@@ -20,6 +20,8 @@
 //   - ctxpropagate: exported functions in the concurrent packages that
 //     spawn goroutines or block on channels must accept and forward a
 //     context.Context.
+//   - unusedexport: every export under internal/ has a user outside its
+//     own package's tests.
 //
 // Findings print as "file:line:col: analyzer: message". Intentional
 // exceptions are written in place with a "//lint:ignore <analyzer>
@@ -65,6 +67,7 @@ type Pass struct {
 	RelPath string
 
 	findings *[]Finding
+	module   *module
 }
 
 // Reportf records a finding at pos.
@@ -101,15 +104,6 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// Run applies every analyzer of cfg to every package, honouring scopes
-// and inline suppressions, and returns the findings sorted by position.
-// Baseline filtering is a separate step (Baseline.Filter) so callers
-// can regenerate baselines from the raw finding set.
-func Run(cfg *Config, pkgs []*Package) []Finding {
-	findings, _ := RunWith(cfg, pkgs, RunOptions{})
-	return findings
-}
-
 // RunOptions tunes a lint run.
 type RunOptions struct {
 	// Workers is the number of packages analyzed concurrently; values
@@ -135,10 +129,14 @@ type AnalyzerTiming struct {
 	Findings int
 }
 
-// RunWith is Run with a worker pool and optional per-analyzer timing.
-// Findings are identical to a serial run: per-package results are
-// collected in package order and sorted by position at the end, and
-// each worker touches only its own package's state.
+// RunWith applies every analyzer of cfg to every package, honouring
+// scopes and inline suppressions, and returns the findings sorted by
+// position, with optional per-analyzer timing. Baseline filtering is a
+// separate step (Baseline.Filter) so callers can regenerate baselines
+// from the raw finding set. Findings are identical to a serial run:
+// per-package results are collected in package order and sorted by
+// position at the end, and each worker touches only its own package's
+// state (unusedexport's module index is built once, under a sync.Once).
 func RunWith(cfg *Config, pkgs []*Package, opts RunOptions) ([]Finding, []AnalyzerTiming) {
 	workers := opts.Workers
 	if workers < 1 {
@@ -163,6 +161,7 @@ func RunWith(cfg *Config, pkgs []*Package, opts RunOptions) ([]Finding, []Analyz
 		t.Findings += findings
 	}
 
+	mod := &module{pkgs: pkgs}
 	perPkg := make([][]Finding, len(pkgs))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -171,7 +170,7 @@ func RunWith(cfg *Config, pkgs []*Package, opts RunOptions) ([]Finding, []Analyz
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				perPkg[i] = runPackage(cfg, pkgs[i], opts.Clock, record)
+				perPkg[i] = runPackage(cfg, pkgs[i], mod, opts.Clock, record)
 			}
 		}()
 	}
@@ -213,7 +212,7 @@ func RunWith(cfg *Config, pkgs []*Package, opts RunOptions) ([]Finding, []Analyz
 }
 
 // runPackage applies cfg's analyzers to one package.
-func runPackage(cfg *Config, pkg *Package, clock func() time.Duration, record func(string, time.Duration, int)) []Finding {
+func runPackage(cfg *Config, pkg *Package, mod *module, clock func() time.Duration, record func(string, time.Duration, int)) []Finding {
 	sup, all := collectSuppressions(pkg.Fset, pkg.Files)
 	for _, az := range cfg.Analyzers {
 		if !cfg.Scopes[az.Name].Matches(pkg.RelPath) {
@@ -228,6 +227,7 @@ func runPackage(cfg *Config, pkg *Package, clock func() time.Duration, record fu
 			Info:     pkg.Info,
 			RelPath:  pkg.RelPath,
 			findings: &found,
+			module:   mod,
 		}
 		var start time.Duration
 		if clock != nil {

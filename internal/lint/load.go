@@ -26,6 +26,8 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
+
+	loader *Loader
 }
 
 // Loader discovers, parses and type-checks every package in a module
@@ -177,6 +179,9 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(asts) == 0 { // only tests, like the module root
+		return nil, &build.NoGoError{Dir: abs}
+	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -194,6 +199,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		Files:   asts,
 		Types:   tpkg,
 		Info:    info,
+		loader:  l,
 	}
 	l.modCache[importPath] = p
 	return p, nil

@@ -327,19 +327,6 @@ type DiscoverySnapshot struct {
 	Connected int
 }
 
-// ConnectedShare returns the mean fraction of the fleet connected per
-// cycle, given the fleet size.
-func (s Stats) ConnectedShare(fleetSize int) float64 {
-	if fleetSize == 0 || len(s.Discovery) == 0 {
-		return 0
-	}
-	total := 0
-	for _, d := range s.Discovery {
-		total += d.Connected
-	}
-	return float64(total) / float64(len(s.Discovery)) / float64(fleetSize)
-}
-
 // ConfidentCountries returns the countries whose sample count meets the
 // n = z²p(1−p)/ε² bound at 95% confidence and 2% margin — the paper's
 // ">2400 measurements per country" requirement.

@@ -11,11 +11,8 @@ import (
 // jitter spreading the wait over [d/2, d). u is the jitter draw in
 // [0,1).
 func backoffMs(base, max float64, attempt int, u float64) float64 {
-	if base <= 0 {
-		return 0
-	}
 	d := base * math.Pow(2, float64(attempt))
-	if max > 0 && d > max {
+	if d > max {
 		d = max
 	}
 	return d/2 + d/2*u
@@ -75,9 +72,6 @@ func (b *breaker) quarantined(id string, now float64) bool {
 // onResult books one measurement outcome and reports whether this
 // failure tripped the breaker.
 func (b *breaker) onResult(id string, ok bool, now float64) (tripped bool) {
-	if b.threshold <= 0 {
-		return false
-	}
 	e := b.probes[id]
 	if ok {
 		if e != nil {

@@ -172,6 +172,3 @@ func (a *Allocator) Allocate(length int) (Prefix, error) {
 	a.next = start + size
 	return Prefix{Addr: a.pool.Addr + IP(start), Len: length}, nil
 }
-
-// Remaining returns the number of unallocated addresses in the pool.
-func (a *Allocator) Remaining() uint64 { return a.pool.NumAddresses() - a.next }

@@ -61,22 +61,3 @@ func (t *Trie[V]) Lookup(ip IP) (value V, prefixLen int, ok bool) {
 
 // Len returns the number of distinct prefixes stored.
 func (t *Trie[V]) Len() int { return t.size }
-
-// Walk visits every stored prefix/value pair in address order. The walk
-// stops early if fn returns false.
-func (t *Trie[V]) Walk(fn func(Prefix, V) bool) {
-	var walk func(n *trieNode[V], addr IP, depth int) bool
-	walk = func(n *trieNode[V], addr IP, depth int) bool {
-		if n == nil {
-			return true
-		}
-		if n.set && !fn(Prefix{Addr: addr, Len: depth}, n.value) {
-			return false
-		}
-		if !walk(n.child[0], addr, depth+1) {
-			return false
-		}
-		return walk(n.child[1], addr|1<<(31-depth), depth+1)
-	}
-	walk(t.root, 0, 0)
-}

@@ -431,19 +431,6 @@ func truncateTrace(rec dataset.TracerouteRecord, tf faults.TraceFault) dataset.T
 	return rec
 }
 
-// PlanInfo exposes the forwarding plan for analyses that need ground
-// truth (tests, pervasiveness oracles).
-type PlanInfo struct {
-	Kind   world.Interconnect
-	ASPath []asn.Number
-}
-
-// Plan returns the interconnection kind and AS path for a pair.
-func (s *Simulator) Plan(p *probes.Probe, r *cloud.Region) PlanInfo {
-	pl := s.buildPlan(p, r)
-	return PlanInfo{Kind: pl.kind, ASPath: pl.asPath}
-}
-
 func hopIndex(rng *rand.Rand) int { return rng.Intn(4096) }
 
 func (s *Simulator) vantage(p *probes.Probe) dataset.VantagePoint {

@@ -136,10 +136,10 @@ func TestDirectPeeringCutsTailsInAsia(t *testing.T) {
 
 	direct, _ := stats.Summarize(pingSeries(p, mumbai, 400))
 	public, _ := stats.Summarize(pingSeries(p, mumbaiDO, 400))
-	if got := testSim.Plan(p, mumbai).Kind; got != world.IcDirect && got != world.IcDirectIXP {
+	if got := testSim.buildPlan(p, mumbai).kind; got != world.IcDirect && got != world.IcDirectIXP {
 		t.Fatalf("JP→GCP plan kind = %v, want direct", got)
 	}
-	if got := testSim.Plan(p, mumbaiDO).Kind; got != world.IcPublic {
+	if got := testSim.buildPlan(p, mumbaiDO).kind; got != world.IcPublic {
 		t.Fatalf("JP→DO plan kind = %v, want public", got)
 	}
 	if direct.IQR() >= public.IQR() {
@@ -400,7 +400,7 @@ func TestIXPHopAppears(t *testing.T) {
 		t.Skip("no DT-homed probe at this scale")
 	}
 	r := regionOf(t, "IBM", "Frankfurt")
-	if kind := testSim.Plan(dtProbe, r).Kind; kind != world.IcDirectIXP {
+	if kind := testSim.buildPlan(dtProbe, r).kind; kind != world.IcDirectIXP {
 		t.Fatalf("DT→IBM kind = %v", kind)
 	}
 	seen := 0

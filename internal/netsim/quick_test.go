@@ -72,9 +72,9 @@ func TestQuickTracerouteInvariants(t *testing.T) {
 		}
 		// Every responding public hop resolves to the serving ISP, an
 		// AS on the planned path, an exchange, or the provider.
-		plan := testSim.Plan(p, r)
+		plan := testSim.buildPlan(p, r)
 		onPath := map[uint32]bool{}
-		for _, n := range plan.ASPath {
+		for _, n := range plan.asPath {
 			onPath[uint32(n)] = true
 		}
 		for _, h := range tr.Hops {
@@ -107,17 +107,17 @@ func TestQuickPlanStability(t *testing.T) {
 	f := func(pi, ri uint16) bool {
 		p := all[int(pi)%len(all)]
 		r := regions[int(ri)%len(regions)]
-		a := testSim.Plan(p, r)
-		b := testSim.Plan(p, r)
-		if a.Kind != b.Kind || len(a.ASPath) != len(b.ASPath) {
+		a := testSim.buildPlan(p, r)
+		b := testSim.buildPlan(p, r)
+		if a.kind != b.kind || len(a.asPath) != len(b.asPath) {
 			return false
 		}
-		for i := range a.ASPath {
-			if a.ASPath[i] != b.ASPath[i] {
+		for i := range a.asPath {
+			if a.asPath[i] != b.asPath[i] {
 				return false
 			}
 		}
-		return a.ASPath[0] == p.ISP.Number && a.ASPath[len(a.ASPath)-1] == r.Provider.ASN
+		return a.asPath[0] == p.ISP.Number && a.asPath[len(a.asPath)-1] == r.Provider.ASN
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -97,15 +97,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Mean returns the mean observation, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // HistSnapshot is a consistent-enough copy of a histogram for
 // exposition (buckets are loaded individually; under concurrent
 // observation the snapshot may be mid-update by a single observation,
@@ -129,44 +120,4 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		s.Counts[i] = h.buckets[i].Load()
 	}
 	return s
-}
-
-// Quantile estimates the q-th quantile (0 < q < 1) of the observed
-// distribution by linear interpolation inside the bucket that crosses
-// the target rank — the standard histogram_quantile estimate. The
-// lowest bucket interpolates from zero; an answer that lands in the
-// +Inf bucket is clamped to the highest finite bound (the histogram
-// cannot say more). Returns 0 with no observations.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	total := uint64(0)
-	for _, c := range s.Counts {
-		total += c
-	}
-	if total == 0 || len(s.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(s.Bounds) { // +Inf bucket: clamp to last finite edge
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		return lo + (s.Bounds[i]-lo)*(rank-prev)/float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
 }

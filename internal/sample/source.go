@@ -15,46 +15,6 @@ type TraceSource interface {
 	Next() (TraceSample, bool, error)
 }
 
-// SliceSource cursors over an in-memory slice — the adapter that lets
-// batch callers drive the streaming core.
-type SliceSource struct {
-	xs []Sample
-	i  int
-}
-
-// NewSliceSource wraps xs without copying; the slice must not be
-// mutated while the cursor is live.
-func NewSliceSource(xs []Sample) *SliceSource { return &SliceSource{xs: xs} }
-
-// Next implements Source.
-func (s *SliceSource) Next() (Sample, bool, error) {
-	if s.i >= len(s.xs) {
-		return Sample{}, false, nil
-	}
-	s.i++
-	return s.xs[s.i-1], true, nil
-}
-
-// SliceTraceSource cursors over an in-memory traceroute slice.
-type SliceTraceSource struct {
-	xs []TraceSample
-	i  int
-}
-
-// NewSliceTraceSource wraps xs without copying.
-func NewSliceTraceSource(xs []TraceSample) *SliceTraceSource {
-	return &SliceTraceSource{xs: xs}
-}
-
-// Next implements TraceSource.
-func (s *SliceTraceSource) Next() (TraceSample, bool, error) {
-	if s.i >= len(s.xs) {
-		return TraceSample{}, false, nil
-	}
-	s.i++
-	return s.xs[s.i-1], true, nil
-}
-
 // Drain pumps every sample of src into fn, stopping at the first error
 // from either side.
 func Drain(src Source, fn func(Sample) error) error {

@@ -52,9 +52,6 @@ type Window struct {
 	To   int
 }
 
-// All reports whether the window imposes no constraint.
-func (w Window) All() bool { return w.From <= 0 && w.To <= 0 }
-
 // Contains reports whether the (normalized) cycle falls inside the
 // window.
 func (w Window) Contains(cycle int) bool {

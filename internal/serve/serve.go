@@ -70,7 +70,8 @@ import (
 // the campaign time axis, and the unwindowed form is exactly the
 // windowed one over Window{}, the whole campaign. Handlers call only
 // the windowed form, so a wrapper intercepts a figure there; the
-// unwindowed methods stay for library callers.
+// unwindowed methods stay because bench/ wraps and calls them
+// (ROADMAP item 4).
 type Querier interface {
 	LatencyMap(minSamples int) []analysis.CountryLatency
 	ContinentCDFs(platform string) []analysis.ContinentDistribution
@@ -229,16 +230,8 @@ func (s *Server) Swap(q Querier) uint64 {
 	return epoch
 }
 
-// Epoch returns the current store epoch.
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
-
 // current returns the mounted (store, epoch) pair.
 func (s *Server) current() *epochStore { return s.cur.Load() }
-
-// InvalidateCache drops every cached response — the hook an
-// incremental-ingest path (or a benchmark) uses without swapping
-// stores. Swap already purges internally.
-func (s *Server) InvalidateCache() { s.cache.purge() }
 
 // BeginDrain marks the server as draining: /v1/readyz starts answering
 // 503 so load balancers route new traffic elsewhere, while in-flight
@@ -891,18 +884,9 @@ func (s *Server) ServeListener(ctx context.Context, ln net.Listener) error {
 	return serveListener(ctx, ln, s.Handler(), s.BeginDrain)
 }
 
-// ListenAndServe serves h on addr until ctx is cancelled, then drains
+// ServeListener serves h on ln until ctx is cancelled, then drains
 // in-flight requests gracefully before returning. Prefer the Server
 // method, which also flips /v1/readyz before draining.
-func ListenAndServe(ctx context.Context, addr string, h http.Handler) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return ServeListener(ctx, ln, h)
-}
-
-// ServeListener is ListenAndServe over an existing listener.
 func ServeListener(ctx context.Context, ln net.Listener, h http.Handler) error {
 	return serveListener(ctx, ln, h, nil)
 }

@@ -15,14 +15,14 @@
 // reader's partition tree, DESIGN.md §15), so a replayed query
 // reproduces the same bits. No clock, no randomness.
 //
-// Sharing. A sketch that came out of Decode, Merge or Merged holds no
-// buffered observations, and its centroid slices are never written in
-// place again — every mutation installs freshly allocated ones, except
-// DecodeInto, which is only for digests no one else reads. Such a
-// sketch may therefore be read (N, Quantile, Quantiles, OrderStat, CDF,
-// Curve, Shift, Merged, the argument side of Merge) from many
-// goroutines at once; that is what lets the segment reader cache
-// decoded digests per mount.
+// Sharing. A sketch that came out of DecodeInto, Merge or Merged holds
+// no buffered observations, and its centroid slices are never written
+// in place again — every mutation installs freshly allocated ones,
+// except a later DecodeInto into the same digest, which is only for
+// digests no one else reads. Such a sketch may therefore be read (N,
+// Quantile, Quantiles, OrderStat, CDF, Curve, Shift, Merged, the
+// argument side of Merge) from many goroutines at once; that is what
+// lets the segment reader cache decoded digests per mount.
 //
 // Accuracy. The usual t-digest property: relative rank error
 // ~O(q(1-q)/δ), tightest at the tails and the median. Small groups
@@ -47,7 +47,7 @@ import (
 // mid-quantile rank error under a percent.
 const DefaultCompression = 200
 
-// Compression bounds accepted by New and Decode.
+// Compression bounds accepted by New and DecodeInto.
 const (
 	minCompression = 10
 	maxCompression = 10000
@@ -102,13 +102,6 @@ func (s *Sketch) Max() float64 {
 		return 0
 	}
 	return s.max
-}
-
-// Centroids returns the centroid count after compacting the buffer —
-// the sketch's serialized size driver.
-func (s *Sketch) Centroids() int {
-	s.flush()
-	return len(s.means)
 }
 
 // HeapBytes is the memory the sketch holds: the struct and its slices
@@ -516,24 +509,14 @@ func (s *Sketch) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// Decode parses one serialized sketch from the front of b, returning
-// the sketch and the unconsumed remainder. Every structural invariant
-// is validated — a decoded sketch is safe to merge and query.
-func Decode(b []byte) (*Sketch, []byte, error) {
-	s := new(Sketch)
-	rest, err := DecodeInto(s, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, rest, nil
-}
-
-// DecodeInto is Decode into s, which may be a zero Sketch or one that
-// held anything before: whatever s held is overwritten, and its slices'
-// capacity is reused, so a caller that only checks blocks decodes them
-// all into one digest. s is written in place, so it must be a digest
-// no one else reads. After an error s holds no sketch, only garbage,
-// until a later DecodeInto succeeds.
+// DecodeInto parses one serialized sketch from the front of b into s
+// and returns the unconsumed remainder. Every structural invariant is
+// validated — a decoded sketch is safe to merge and query. s may be a
+// zero Sketch or one that held anything before: whatever s held is
+// overwritten, and its slices' capacity is reused, so a caller that
+// only checks blocks decodes them all into one digest. s is written in
+// place, so it must be a digest no one else reads. After an error s
+// holds no sketch, only garbage, until a later DecodeInto succeeds.
 func DecodeInto(s *Sketch, b []byte) ([]byte, error) {
 	d := binfmt.NewDec(b)
 	version, flags := d.Byte(), d.Byte()

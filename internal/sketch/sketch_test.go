@@ -99,8 +99,8 @@ func TestLargeSketchAccuracy(t *testing.T) {
 			t.Errorf("q=%g: estimate %v sits at rank %v (rank error %v)", q, got, rank, math.Abs(rank-q))
 		}
 	}
-	if s.Centroids() > 2*DefaultCompression {
-		t.Errorf("centroids %d exceed 2·compression", s.Centroids())
+	if centroids(s) > 2*DefaultCompression {
+		t.Errorf("centroids %d exceed 2·compression", centroids(s))
 	}
 	// CDF must invert Quantile to within the same rank tolerance.
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
@@ -409,8 +409,8 @@ func TestMergeAllocatesTwoSlices(t *testing.T) {
 		a.Add(100 * rng.Float64())
 		b.Add(100 * rng.Float64())
 	}
-	a.Centroids()
-	b.Centroids()
+	centroids(a)
+	centroids(b)
 	if n := testing.AllocsPerRun(50, func() { a.Merge(b) }); n != 2 {
 		t.Errorf("Merge allocates %v times, want 2", n)
 	}
@@ -472,7 +472,7 @@ func TestSketchShiftMatchesSorted(t *testing.T) {
 			xs := shiftSample(rng, 1+rng.Intn(limit), 0)
 			ys := shiftSample(rng, 1+rng.Intn(limit), float64(rng.Intn(5))-2)
 			a, b := digestOf(compression, xs), digestOf(compression, ys)
-			if a.Centroids() != a.N() || b.Centroids() != b.N() {
+			if centroids(a) != a.N() || centroids(b) != b.N() {
 				t.Fatalf("δ=%d: digests of %d and %d values are not all singletons", compression, a.N(), b.N())
 			}
 			got, want := a.Shift(b), stats.SortedCopy(xs).Shift(stats.SortedCopy(ys))

@@ -87,9 +87,6 @@ func TestFeedMatchesBatchFromCampaign(t *testing.T) {
 			if got, want := st.ContinentCDFs(platform), batch.ContinentCDFs(platform); !reflect.DeepEqual(got, want) {
 				t.Errorf("shards=%d: ContinentCDFs(%s) diverges from batch", shards, platform)
 			}
-			if got, want := st.Countries(platform), batch.Countries(platform); !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d: Countries(%s) diverges from batch", shards, platform)
-			}
 		}
 		if got, want := st.PlatformDiff(), batch.PlatformDiff(); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards=%d: PlatformDiff diverges from batch", shards)

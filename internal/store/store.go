@@ -15,7 +15,6 @@ package store
 
 import (
 	"hash/fnv"
-	"sort"
 	"strconv"
 
 	"repro/internal/analysis"
@@ -160,16 +159,9 @@ func (b *Builder) Add(s Sample) {
 	b.shards[b.shardIndex(s.Country, s.Provider)].add(s)
 }
 
-// AddPeeringCounts folds per-provider interconnection tallies (as
-// produced by analysis.InterconnectCounts) into the store by addition.
-// Counts without a time axis land in the first partition; the live feed
-// uses AddPeeringCountsAt with the trace cycle instead.
-func (b *Builder) AddPeeringCounts(counts map[string]map[pipeline.Class]int) {
-	b.AddPeeringCountsAt(0, counts)
-}
-
-// AddPeeringCountsAt folds interconnection tallies into the partition
-// covering the (possibly trace-decorated) cycle.
+// AddPeeringCountsAt folds per-provider interconnection tallies (as
+// produced by analysis.InterconnectCounts) by addition into the
+// partition covering the (possibly trace-decorated) cycle.
 func (b *Builder) AddPeeringCountsAt(cycle int, counts map[string]map[pipeline.Class]int) {
 	foldPeering(b.peering[b.opts.partitionIndex(cycle)], counts)
 }
@@ -296,24 +288,3 @@ func (s *Store) buildSummary() Summary {
 
 // Summary returns the sealed store's description.
 func (s *Store) Summary() Summary { return s.summary }
-
-// Countries lists every VP country with samples for the platform,
-// sorted.
-func (s *Store) Countries(platform string) []string {
-	set := map[string]struct{}{}
-	for _, sh := range s.shards {
-		for _, p := range sh.parts {
-			for g := range p.byCountry {
-				if g.platform == platform {
-					set[g.name] = struct{}{}
-				}
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -111,13 +111,6 @@ func (e *Encoder) EncodeTraceBatch(dst []byte, batch []sample.TraceSample) []byt
 	return dst
 }
 
-// EncodeEOF builds the FrameEOF payload carrying stream totals.
-func EncodeEOF(pings, traces uint64) []byte {
-	dst := []byte{FrameEOF}
-	dst = binary.AppendUvarint(dst, pings)
-	return binary.AppendUvarint(dst, traces)
-}
-
 // Decoder mirrors Encoder: it rebuilds the dictionary and delta
 // baselines as batches arrive, in stream order.
 type Decoder struct {
@@ -253,14 +246,4 @@ func (d *Decoder) DecodeTraces(payload []byte, fn func(sample.TraceSample) error
 		}
 	}
 	return c.End()
-}
-
-// DecodeEOF parses a FrameEOF payload into its stream totals.
-func DecodeEOF(payload []byte) (pings, traces uint64, err error) {
-	if len(payload) < 1 || payload[0] != FrameEOF {
-		return 0, 0, fmt.Errorf("wirecodec: not an EOF frame")
-	}
-	c := binfmt.NewDec(payload[1:])
-	pings, traces = c.Uvarint(), c.Uvarint()
-	return pings, traces, c.End()
 }

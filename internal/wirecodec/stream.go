@@ -1,11 +1,6 @@
 package wirecodec
 
-import (
-	"fmt"
-	"io"
-
-	"repro/internal/sample"
-)
+import "repro/internal/sample"
 
 // FlushRecords is how many records a Writer batches into one frame
 // before writing it: big enough to amortize framing and CRC, small
@@ -15,9 +10,7 @@ const FlushRecords = 256
 
 // Writer is a sample.Sink that encodes records into batched binary
 // frames. Close flushes (the repo-wide sink contract: Close means
-// flush, never invalidate, so campaigns may close it repeatedly);
-// Finish seals the stream with an EOF frame carrying the totals —
-// call it exactly once, after the last record.
+// flush, never invalidate, so campaigns may close it repeatedly).
 //
 // A Writer may share its FrameWriter with a control plane (the
 // cluster worker interleaves JSON control frames); WriteFrame
@@ -32,20 +25,11 @@ type Writer struct {
 	nTrace uint64
 }
 
-// NewWriter builds a Writer over its own FrameWriter on w.
-func NewWriter(w io.Writer, opts Options) *Writer {
-	return NewStreamWriter(NewFrameWriter(w, opts))
-}
-
 // NewStreamWriter builds a Writer over an existing (possibly shared)
 // FrameWriter.
 func NewStreamWriter(fw *FrameWriter) *Writer {
 	return &Writer{fw: fw, enc: NewEncoder()}
 }
-
-// Frames returns the underlying FrameWriter, for interleaving control
-// frames on the same stream.
-func (w *Writer) Frames() *FrameWriter { return w.fw }
 
 // Ping implements sample.Sink.
 func (w *Writer) Ping(s sample.Sample) error {
@@ -98,85 +82,6 @@ func (w *Writer) Close() error {
 	return w.fw.Flush()
 }
 
-// Finish flushes everything and writes the EOF frame with the stream
-// totals. The Writer must not be used afterwards.
-func (w *Writer) Finish() error {
-	if err := w.Close(); err != nil {
-		return err
-	}
-	if err := w.fw.WriteFrame(EncodeEOF(w.nPings, w.nTrace)); err != nil {
-		return err
-	}
-	return w.fw.Flush()
-}
-
 // Len returns the (pings, traces) written so far — the per-shard
 // accounting a cluster worker reports in shard_done.
 func (w *Writer) Len() (pings, traces uint64) { return w.nPings, w.nTrace }
-
-// Reader decodes a finished record stream (one written through Writer
-// and sealed by Finish).
-type Reader struct {
-	fr  *FrameReader
-	dec *Decoder
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader, opts Options) *Reader {
-	return &Reader{fr: NewFrameReader(r, opts), dec: NewDecoder()}
-}
-
-// Scan walks the stream in order, invoking the callbacks per record
-// (either may be nil to skip that record kind), until the EOF frame.
-// It returns the stream totals after verifying them against the
-// records actually delivered; a stream that ends without its EOF frame
-// reports ErrTruncated. Control frames are skipped — a sample-only
-// consumer may read a control-bearing stream.
-func (r *Reader) Scan(onPing func(sample.Sample) error, onTrace func(sample.TraceSample) error) (pings, traces uint64, err error) {
-	var seenPings, seenTraces uint64
-	for {
-		payload, err := r.fr.ReadFrame()
-		if err != nil {
-			if err == io.EOF {
-				return seenPings, seenTraces, fmt.Errorf("%w: stream ended without an EOF frame", ErrTruncated)
-			}
-			return seenPings, seenTraces, err
-		}
-		switch payload[0] {
-		case FramePings:
-			err = r.dec.DecodePings(payload, func(s sample.Sample) error {
-				seenPings++
-				if onPing != nil {
-					return onPing(s)
-				}
-				return nil
-			})
-		case FrameTraces:
-			err = r.dec.DecodeTraces(payload, func(t sample.TraceSample) error {
-				seenTraces++
-				if onTrace != nil {
-					return onTrace(t)
-				}
-				return nil
-			})
-		case FrameControl:
-			// Not ours to interpret.
-		case FrameEOF:
-			wantPings, wantTraces, err := DecodeEOF(payload)
-			if err != nil {
-				return seenPings, seenTraces, err
-			}
-			if wantPings != seenPings || wantTraces != seenTraces {
-				return seenPings, seenTraces, fmt.Errorf(
-					"%w: EOF frame promises %d pings / %d traces, stream carried %d / %d",
-					ErrTruncated, wantPings, wantTraces, seenPings, seenTraces)
-			}
-			return seenPings, seenTraces, nil
-		default:
-			err = fmt.Errorf("wirecodec: unknown frame type 0x%02x", payload[0])
-		}
-		if err != nil {
-			return seenPings, seenTraces, err
-		}
-	}
-}

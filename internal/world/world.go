@@ -196,12 +196,6 @@ func (w *World) NearestPoP(n asn.Number, p geo.Point) (PoP, bool) {
 	return PoP{}, false
 }
 
-// Prefix returns the address block announced by an AS.
-func (w *World) Prefix(n asn.Number) (netaddr.Prefix, bool) {
-	p, ok := w.prefixes[n]
-	return p, ok
-}
-
 // RouterIP returns a deterministic router address inside the AS's
 // block. Distinct indexes yield distinct addresses within a pool of up
 // to 4096 routers (fewer for small blocks such as IXP peering LANs).

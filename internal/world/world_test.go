@@ -236,7 +236,7 @@ func TestCloudIngressCountry(t *testing.T) {
 func TestRegionIPIndex(t *testing.T) {
 	w := testWorld(t)
 	for _, prov := range w.Inventory.Providers() {
-		p, ok := w.Prefix(prov.ASN)
+		p, ok := w.prefixes[prov.ASN]
 		if !ok {
 			t.Fatalf("no prefix for %s", prov.Code)
 		}
@@ -254,7 +254,7 @@ func TestRegionIPIndex(t *testing.T) {
 func TestAddressing(t *testing.T) {
 	w := testWorld(t)
 	dt, _ := w.Registry.Lookup(3320)
-	prefix, ok := w.Prefix(3320)
+	prefix, ok := w.prefixes[3320]
 	if !ok {
 		t.Fatal("no prefix for DT")
 	}
