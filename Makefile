@@ -39,7 +39,8 @@ race:
 
 # Short fuzz pass over the text and binary codecs, the lazily seeded
 # random source, the median's confidence interval, the digest's shift
-# score and its decode into a reused digest (regression corpus + 10s
+# score and its decode into a reused digest, and the serve layer's
+# typed JSON appenders against json.Marshal (regression corpus + 10s
 # each).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzImportPings -fuzztime=10s ./internal/atlasfmt/
@@ -54,9 +55,10 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSketchDecodeInto -fuzztime=10s -fuzzminimizetime=1x ./internal/sketch/
 	$(GO) test -run=NONE -fuzz=FuzzSource -fuzztime=10s ./internal/detrand/
 	$(GO) test -run=NONE -fuzz=FuzzMedianCI -fuzztime=10s ./internal/stats/
+	$(GO) test -run=NONE -fuzz=FuzzAppendDTO -fuzztime=10s ./internal/serve/
 
 # fuzz-smoke is the pre-merge slice of the fuzz pass: 2s per codec
-# target, enough to replay the corpus and shake out shallow regressions
+# target (the serve appenders' differential target included), enough to replay the corpus and shake out shallow regressions
 # on every verify run. The segment/sketch targets cap minimization at
 # one exec: their seeds are whole ~100 KB segment images, and default
 # minimization would stall for a minute per interesting input.
@@ -73,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzSketchDecodeInto -fuzztime=2s -fuzzminimizetime=1x ./internal/sketch/
 	$(GO) test -run=NONE -fuzz=FuzzSource -fuzztime=2s ./internal/detrand/
 	$(GO) test -run=NONE -fuzz=FuzzMedianCI -fuzztime=2s ./internal/stats/
+	$(GO) test -run=NONE -fuzz=FuzzAppendDTO -fuzztime=2s ./internal/serve/
 
 # Full Go benchmark suite with allocation stats, including the store
 # fan-out/merge and the serve cached-vs-cold comparison. For measuring

@@ -36,3 +36,16 @@ func (s Square) String() string { return fmt.Sprint(s.Side) }
 
 // Perimeter is called only by this package's tests.
 func (s Square) Perimeter() float64 { return 4 * s.Side } // want "exported method Perimeter"
+
+// Grower is a generic module interface; Square implements Grower[Square].
+type Grower[T any] interface{ Grow() T }
+
+// Grow implements Grower[Square], so it needs no caller.
+func (s Square) Grow() Square { return Square{Side: 2 * s.Side} }
+
+// Stretcher is a generic module interface that Square implements no
+// instance of: Stretcher[T] needs Stretch(T) T.
+type Stretcher[T any] interface{ Stretch(by T) T }
+
+// Stretch only shares its name with Stretcher's method.
+func (s Square) Stretch(by float64) Square { return Square{Side: by * s.Side} } // want "exported method Stretch"

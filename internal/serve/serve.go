@@ -52,7 +52,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -475,8 +474,8 @@ func (s *Server) handleLatencyMap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := fmt.Sprintf("min=%d&%s", minSamples, windowKey(win))
-	s.respond(w, r, "latency-map", key, func(q Querier) (any, error) {
-		return LatencyMapDTO(q.LatencyMapWindow(minSamples, win)), nil
+	s.respond(w, r, "latency-map", key, func(q Querier) answer {
+		return rows[LatencyMapEntry]{LatencyMapDTO(q.LatencyMapWindow(minSamples, win)), (*encoder).latencyMapEntry}
 	})
 }
 
@@ -505,7 +504,7 @@ func (s *Server) handleCDF(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := fmt.Sprintf("platform=%s&continent=%s&points=%d&%s", platform, continent, points, windowKey(win))
-	s.respond(w, r, "cdf", key, func(q Querier) (any, error) {
+	s.respond(w, r, "cdf", key, func(q Querier) answer {
 		dists := q.ContinentCDFsWindow(platform, win)
 		if continent != "" {
 			kept := dists[:0:0]
@@ -516,7 +515,7 @@ func (s *Server) handleCDF(w http.ResponseWriter, r *http.Request) {
 			}
 			dists = kept
 		}
-		return CDFDTO(dists, points), nil
+		return rows[CDFEntry]{CDFDTO(dists, points), (*encoder).cdfEntry}
 	})
 }
 
@@ -526,8 +525,8 @@ func (s *Server) handlePlatformDiff(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "platform-diff", err)
 		return
 	}
-	s.respond(w, r, "platform-diff", windowKey(win), func(q Querier) (any, error) {
-		return PlatformDiffDTO(q.PlatformDiffWindow(win)), nil
+	s.respond(w, r, "platform-diff", windowKey(win), func(q Querier) answer {
+		return rows[PlatformDiffEntry]{PlatformDiffDTO(q.PlatformDiffWindow(win)), (*encoder).platformDiffEntry}
 	})
 }
 
@@ -537,8 +536,8 @@ func (s *Server) handlePeeringShares(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "peering-shares", err)
 		return
 	}
-	s.respond(w, r, "peering-shares", windowKey(win), func(q Querier) (any, error) {
-		return PeeringSharesDTO(q.PeeringSharesWindow(win)), nil
+	s.respond(w, r, "peering-shares", windowKey(win), func(q Querier) answer {
+		return rows[PeeringShareEntry]{PeeringSharesDTO(q.PeeringSharesWindow(win)), (*encoder).peeringShareEntry}
 	})
 }
 
@@ -566,7 +565,7 @@ func (s *Server) handleChangepoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := fmt.Sprintf("platform=%s&at=%d&width=%d", platform, at, width)
-	s.respond(w, r, "changepoint", key, func(q Querier) (any, error) {
+	s.respond(w, r, "changepoint", key, func(q Querier) answer {
 		split := at
 		if split <= 0 {
 			if c := q.Summary().Cycles; c > 1 {
@@ -575,7 +574,7 @@ func (s *Server) handleChangepoint(w http.ResponseWriter, r *http.Request) {
 				split = 1
 			}
 		}
-		return q.Changepoint(platform, split, width), nil
+		return rows[store.ChangepointEntry]{q.Changepoint(platform, split, width), (*encoder).changepointEntry}
 	})
 }
 
@@ -676,7 +675,7 @@ func negotiate(r *http.Request) string {
 // A hit is answered at once. A miss waits for its flight at most
 // Options.Timeout and then answers 503 with nothing written before;
 // the flight runs on, fills the cache, and a retry is a hit.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, endpoint, params string, compute func(q Querier) (any, error)) {
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, endpoint, params string, compute func(q Querier) answer) {
 	m := s.metrics.of(endpoint)
 	m.requests.Inc()
 	m.inFlight.Add(1)
@@ -699,11 +698,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, endpoint, param
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
 	defer cancel()
 	res, shared, err := s.flights.do(ctx, key, func() computed {
-		v, err := compute(es.q)
-		if err != nil {
-			return computed{err: err}
-		}
-		body, err := encode(v, contentType)
+		body, err := encode(compute(es.q), contentType)
 		if err != nil {
 			return computed{err: err}
 		}
@@ -750,31 +745,6 @@ func (s *Server) write(w http.ResponseWriter, r *http.Request, m *endpointInstru
 	w.Write(res.body)
 }
 
-// encode marshals v as a JSON document or, for slices under NDJSON, one
-// JSON object per line.
-func encode(v any, contentType string) ([]byte, error) {
-	if contentType == ctNDJSON {
-		rv := reflect.ValueOf(v)
-		if rv.Kind() == reflect.Slice {
-			var buf []byte
-			for i := 0; i < rv.Len(); i++ {
-				line, err := json.Marshal(rv.Index(i).Interface())
-				if err != nil {
-					return nil, err
-				}
-				buf = append(buf, line...)
-				buf = append(buf, '\n')
-			}
-			return buf, nil
-		}
-	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
-}
-
 // etagOf derives the entity tag from the store epoch plus a hash of the
 // canonical request key and the body: "e<epoch>-<fnv64a>". The epoch
 // prefix is the zero-drop swap guarantee — validators from different
@@ -787,7 +757,15 @@ func etagOf(epoch uint64, key string, body []byte) string {
 	h.Write([]byte(key))
 	h.Write([]byte{0})
 	h.Write(body)
-	return fmt.Sprintf("%q", fmt.Sprintf("e%d-%016x", epoch, h.Sum64()))
+	sum := h.Sum64()
+	tag := make([]byte, 0, len(`"e-0123456789abcdef"`)+20)
+	tag = append(tag, `"e`...)
+	tag = strconv.AppendUint(tag, epoch, 10)
+	tag = append(tag, '-')
+	for shift := 60; shift >= 0; shift -= 4 {
+		tag = append(tag, "0123456789abcdef"[sum>>shift&0xf])
+	}
+	return string(append(tag, '"'))
 }
 
 // etagMatches implements the If-None-Match comparison over a

@@ -1,7 +1,8 @@
 package store
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/analysis"
@@ -219,19 +220,16 @@ func asSorted(m map[string][]float64) map[string]stats.Sorted {
 // centroid point masses for digests. Pairs on one side only are
 // reported as appeared or disappeared.
 func ChangepointOf[D stats.Shifter[D]](pre, post map[string]D) []ChangepointEntry {
-	names := make(map[string]struct{}, len(pre)+len(post))
-	for n := range pre {
-		names[n] = struct{}{}
-	}
+	pairs := len(pre)
 	for n := range post {
-		names[n] = struct{}{}
+		if _, ok := pre[n]; !ok {
+			pairs++
+		}
 	}
-	out := make([]ChangepointEntry, 0, len(names))
-	for n := range names {
+	out := make([]ChangepointEntry, 0, pairs)
+	score := func(n string, b D, okb bool, a D, oka bool) {
 		country, provider := splitPair(n)
 		e := ChangepointEntry{Country: country, Provider: provider, Shift: 0.5}
-		b, okb := pre[n]
-		a, oka := post[n]
 		if okb {
 			e.NBefore = b.N()
 		}
@@ -240,7 +238,7 @@ func ChangepointOf[D stats.Shifter[D]](pre, post map[string]D) []ChangepointEntr
 		}
 		switch {
 		case e.NBefore == 0 && e.NAfter == 0:
-			continue
+			return
 		case e.NBefore == 0:
 			e.Status = "appeared"
 			e.MedianAfterMs = a.Quantile(0.5)
@@ -255,33 +253,64 @@ func ChangepointOf[D stats.Shifter[D]](pre, post map[string]D) []ChangepointEntr
 		}
 		out = append(out, e)
 	}
+	// Every name of pre, then the names only post holds: the union
+	// without building it.
+	var none D
+	for n, b := range pre {
+		a, oka := post[n]
+		score(n, b, true, a, oka)
+	}
+	for n, a := range post {
+		if _, okb := pre[n]; !okb {
+			score(n, none, false, a, true)
+		}
+	}
 	rankChangepoint(out)
 	return out
 }
 
 // rankChangepoint sorts scored entries into Changepoint's order:
 // two-sided pairs by shift descending, ties by delta then name, then
-// appeared, then disappeared pairs.
+// appeared, then disappeared pairs. The status comparison alone puts
+// the scored pairs ("") first and "appeared" before "disappeared", and
+// the key is total over distinct pairs, so the order does not depend
+// on the input's. It sorts indices, not the ~100-byte entries, then
+// moves each entry once, cycle by cycle.
 func rankChangepoint(out []ChangepointEntry) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if (a.Status == "") != (b.Status == "") {
-			return a.Status == "" // scored pairs first
+	order := make([]int32, len(out))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		a, b := &out[i], &out[j]
+		if c := cmp.Compare(a.Status, b.Status); c != 0 {
+			return c
 		}
-		if a.Status != b.Status {
-			return a.Status < b.Status // "appeared" before "disappeared"
+		if c := cmp.Compare(b.Shift, a.Shift); c != 0 {
+			return c
 		}
-		//lint:ignore floateq ordering comparator: exactly-equal scores fall through to the next tie-break
-		if a.Shift != b.Shift {
-			return a.Shift > b.Shift
+		if c := cmp.Compare(b.DeltaMs, a.DeltaMs); c != 0 {
+			return c
 		}
-		//lint:ignore floateq ordering comparator: exactly-equal deltas fall through to the next tie-break
-		if a.DeltaMs != b.DeltaMs {
-			return a.DeltaMs > b.DeltaMs
+		if c := cmp.Compare(a.Country, b.Country); c != 0 {
+			return c
 		}
-		if a.Country != b.Country {
-			return a.Country < b.Country
-		}
-		return a.Provider < b.Provider
+		return cmp.Compare(a.Provider, b.Provider)
 	})
+	// order[k] names the entry that belongs at k; -1 marks a placed slot.
+	for start := range order {
+		if order[start] < 0 {
+			continue
+		}
+		held, k := out[start], start
+		for {
+			src := int(order[k])
+			order[k] = -1
+			if src == start {
+				out[k] = held
+				break
+			}
+			out[k], k = out[src], src
+		}
+	}
 }
